@@ -34,25 +34,6 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def bench_environment() -> dict:
-    """The execution-mode stamp every BENCH payload must carry.
-
-    Measurements taken under the batched kernel (``REPRO_SIM_KERNEL=1``,
-    the default) and the interpreter are not comparable; the perf gate
-    fails loudly on a stamp mismatch instead of silently comparing a
-    kernel run against an interpreter baseline (or vice versa).
-    """
-    import sys
-
-    sys.path.insert(0, str(Path(__file__).parent / "perf"))
-    import perf_bench_lib as lib
-
-    environment = lib.bench_environment()
-    print(f"\nbench environment: {environment}")
-    return environment
-
-
-@pytest.fixture(scope="session")
 def bench_out_dir(tmp_path_factory) -> Path:
     """Where rendered tables and BENCH artifacts land.
 

@@ -8,7 +8,6 @@ produces ``BENCH_sim.json``::
     {
       "schema": 2,
       "n_instructions": 6000,
-      "environment": {"REPRO_SIM_KERNEL": "1"},   # execution-mode stamp
       "calibration_ops_per_sec": <fixed pure-python loop throughput>,
       "configs": {
         "fp_01/base": {
@@ -28,14 +27,6 @@ Both numerator and denominator scale with host speed and interpreter
 version, so their ratio tracks *simulator* efficiency.  The committed
 baseline lives in ``benchmarks/perf/BENCH_baseline.json``; CI fails when
 the geomean normalized throughput regresses by more than 25%.
-
-Numbers measured under the batched kernel (``REPRO_SIM_KERNEL=1``, the
-default) and under the interpreter (``=0``) are **not comparable** — the
-kernel is ~1.5-2x faster on the pinned subset.  Every payload therefore
-carries an ``environment`` stamp of the mode it was measured in, and
-:func:`compare_bench` refuses (raises ``ValueError``) to gate across
-mismatched stamps instead of silently reporting a bogus regression or
-masking a real one.
 
 Run the regression gate from a shell (CI does exactly this)::
 
@@ -60,8 +51,7 @@ from repro.workloads import load_workload
 #: Instruction budget of the pinned subset — matches ``tests/golden``.
 N_INSTRUCTIONS = 6_000
 
-#: BENCH payload schema.  2 added the ``environment`` stamp; schema-1
-#: payloads predate the batched kernel and cannot be gated against.
+#: BENCH payload schema; payloads of any other schema are not gated against.
 SCHEMA = 2
 
 #: Default regression tolerance: fail when geomean normalized throughput
@@ -81,17 +71,6 @@ def pinned_cases() -> dict[str, tuple[str, SimConfig]]:
             SimConfig(ucp=UCPConfig(enabled=True)),
         )
     return cases
-
-
-def bench_environment() -> dict[str, str]:
-    """The execution-mode stamp recorded in (and gated across) payloads.
-
-    Mirrors the default resolution of ``repro.core.pipeline.simulate`` so
-    the stamp always names the mode :func:`time_case` actually ran in.
-    """
-    from repro.core.kernel import kernel_enabled
-
-    return {"REPRO_SIM_KERNEL": "1" if kernel_enabled() else "0"}
 
 
 def calibration_ops_per_sec(repeats: int = 3, ops: int = 200_000) -> float:
@@ -146,7 +125,6 @@ def run_bench(repeats: int = 3) -> dict:
     return {
         "schema": SCHEMA,
         "n_instructions": N_INSTRUCTIONS,
-        "environment": bench_environment(),
         "calibration_ops_per_sec": calibration,
         "configs": configs,
         "geomean_instr_per_sec": _geomean(
@@ -163,25 +141,15 @@ def validate_bench(payload: dict) -> None:
     for field in (
         "schema",
         "n_instructions",
-        "environment",
         "calibration_ops_per_sec",
         "configs",
         "geomean_instr_per_sec",
         "geomean_normalized",
     ):
         if field not in payload:
-            if field == "environment" and payload.get("schema") == 1:
-                raise ValueError(
-                    "BENCH payload has schema 1 (no environment stamp) — "
-                    "it predates the batched kernel and cannot be compared; "
-                    "regenerate with: python benchmarks/perf/perf_bench_lib.py run"
-                )
             raise ValueError(f"BENCH_sim missing field {field!r}")
     if payload["schema"] != SCHEMA:
         raise ValueError(f"unknown BENCH_sim schema {payload['schema']!r}")
-    environment = payload["environment"]
-    if not isinstance(environment, dict) or "REPRO_SIM_KERNEL" not in environment:
-        raise ValueError("BENCH_sim environment must stamp REPRO_SIM_KERNEL")
     if set(payload["configs"]) != set(pinned_cases()):
         raise ValueError(
             f"BENCH_sim configs {sorted(payload['configs'])} do not match "
@@ -213,14 +181,6 @@ def compare_bench(
     """
     validate_bench(baseline)
     validate_bench(current)
-    if baseline["environment"] != current["environment"]:
-        raise ValueError(
-            "BENCH environment mismatch — refusing to gate across execution "
-            f"modes: baseline {baseline['environment']} vs current "
-            f"{current['environment']}.  Re-baseline with the same "
-            "REPRO_SIM_KERNEL setting (python benchmarks/perf/perf_bench_lib.py "
-            "run) or rerun the bench in the baseline's mode."
-        )
     lines = [
         f"{'config':<14s} {'baseline':>10s} {'current':>10s} {'ratio':>7s}",
     ]

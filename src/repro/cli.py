@@ -472,16 +472,11 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _simulate(args: argparse.Namespace) -> int:
-    from repro.core.kernel import KernelSimulator, kernel_enabled
     from repro.core.pipeline import Simulator
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
-    # The kernel degrades to the interpreter on its own when --check or
-    # --trace activates the sanitizer/observer; REPRO_SIM_KERNEL=0 forces
-    # the interpreter outright.
-    sim_cls = KernelSimulator if kernel_enabled() else Simulator
-    sim = sim_cls(
+    sim = Simulator(
         trace,
         config,
         check=True if args.check else None,
@@ -538,26 +533,13 @@ def _trace(args: argparse.Namespace) -> int:
 def _metrics(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.common.output import resolve_output_path
-    from repro.core.kernel import KernelSimulator, kernel_enabled
     from repro.core.pipeline import Simulator
     from repro.observe.metrics import DEFAULT_INTERVAL
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
-    interval = args.interval if args.interval is not None else None
-    # Kernel-aware on purpose: interval metrics arm the observer, which
-    # forces the interpreter — surface that fallback instead of hiding it.
-    sim_cls = KernelSimulator if kernel_enabled() else Simulator
-    sim = sim_cls(trace, config, observe=True, interval=interval)
+    sim = Simulator(trace, config, observe=True, interval=args.interval)
     result = sim.run()
-    if isinstance(sim, KernelSimulator) and not sim.kernel_active:
-        kernel_state = f"interpreter ({sim.kernel_fallback_reason})"
-    elif isinstance(sim, KernelSimulator):
-        kernel_state = "replay kernel"
-    else:
-        kernel_state = "interpreter (REPRO_SIM_KERNEL=0)"
-    print(f"engine: {kernel_state}")
-    print()
 
     samples = result.intervals
     window = args.interval if args.interval else DEFAULT_INTERVAL
@@ -590,7 +572,6 @@ def _metrics(args: argparse.Namespace) -> int:
         payload = {
             "workload": args.workload,
             "instructions": args.instructions,
-            "engine": kernel_state,
             "intervals": samples,
             "taxonomy": sim.observer.taxonomy.as_dict(),
             "characterization": trace_profile(trace),
@@ -672,11 +653,6 @@ def _verify(args: argparse.Namespace) -> int:
     from repro.verify.differential import run_verification
     from repro.verify.faults import FAULTS, run_all_faults, run_fault
     from repro.verify.invariants import SimCheckError
-    from repro.verify.kernel_faults import (
-        KERNEL_FAULTS,
-        run_all_kernel_faults,
-        run_kernel_fault,
-    )
     from repro.verify.service_faults import (
         SERVICE_FAULTS,
         run_all_service_faults,
@@ -690,28 +666,16 @@ def _verify(args: argparse.Namespace) -> int:
         for service_fault in SERVICE_FAULTS.values():
             print(f"{service_fault.name:20s} {service_fault.description}")
             print(f"{'':20s} expected: error code {service_fault.expected_code}")
-        for kernel_fault in KERNEL_FAULTS.values():
-            print(f"{kernel_fault.name:20s} {kernel_fault.description}")
-            print(
-                f"{'':20s} expected: "
-                f"{', '.join(kernel_fault.expected_invariants)}"
-            )
         return 0
 
     if args.inject:
         results: list = []
         if args.inject == "all":
-            results = (
-                list(run_all_faults())
-                + list(run_all_service_faults())
-                + list(run_all_kernel_faults())
-            )
+            results = list(run_all_faults()) + list(run_all_service_faults())
         elif args.inject in FAULTS:
             results = [run_fault(args.inject)]
         elif args.inject in SERVICE_FAULTS:
             results = [run_service_fault(args.inject)]
-        elif args.inject in KERNEL_FAULTS:
-            results = [run_kernel_fault(args.inject)]
         else:
             print(
                 f"unknown fault {args.inject!r} — see `repro verify --list-faults`"

@@ -25,14 +25,8 @@ from collections import deque
 
 from repro.common.stats import StatBlock
 from repro.core.configs import BackendConfig
+from repro.core.kernel.columns import backend_columns
 from repro.isa.trace import Trace
-
-
-def _pc_hash(pc: int) -> int:
-    value = pc >> 2
-    value ^= value >> 7
-    value ^= value >> 13
-    return value & 0xFFFF
 
 
 class Backend:
@@ -42,18 +36,16 @@ class Backend:
         self.config = config
         self.trace = trace
         self.stats = stats
-        # Hot-path flattening: dispatch() runs once per µ-op, so the trace
-        # columns are read as plain lists and the config scalars are bound
-        # to the instance instead of being chased through two attribute
-        # hops per dispatch.
-        self._pcs, self._classes, _takens, _targets, _next_pcs = trace.list_columns()
+        # Hot-path flattening: dispatch() runs once per µ-op, so the
+        # per-instruction latency and dependency distance come from the
+        # trace's precomputed PC-hash columns, and the config scalars are
+        # bound to the instance instead of being chased through two
+        # attribute hops per dispatch.
+        columns = backend_columns(trace, config)
+        self._latency = columns.latency
+        self._distance = columns.distance
+        _pcs, self._classes, _takens, _targets, _next_pcs = trace.list_columns()
         self._branch_latency = config.branch_latency
-        self._load_hash_mod = config.load_hash_mod
-        self._long_load_every = config.long_load_every
-        self._long_load_latency = config.long_load_latency
-        self._load_latency = config.load_latency
-        self._simple_latency = config.simple_latency
-        self._dep_window = config.dep_window
         self._issue_width = config.issue_width
         self._commit_width = config.commit_width
         #: Completion cycle per dispatched trace index.  Kept for the whole
@@ -101,25 +93,13 @@ class Backend:
             self._rob.append((index, completion))
             return completion
 
-        # _pc_hash, inlined.
-        value = self._pcs[index] >> 2
-        value ^= value >> 7
-        value ^= value >> 13
-        h = value & 0xFFFF
-
-        if h % self._load_hash_mod == 0:
-            if (h >> 8) % self._long_load_every == 0:
-                latency = self._long_load_latency  # data-cache miss
-            else:
-                latency = self._load_latency
-        else:
-            latency = self._simple_latency
-        distance = 1 + (h >> 4) % self._dep_window
-        dep_done = self._completion.get(index - distance, 0)
+        # Latency class and dependency distance come from a PC hash
+        # (repro.core.kernel.columns), precomputed per trace.
+        dep_done = self._completion.get(index - self._distance[index], 0)
         earliest = cycle + 1
         if dep_done > earliest:
             earliest = dep_done
-        completion = self._schedule(earliest + latency)
+        completion = self._schedule(earliest + self._latency[index])
         self._completion[index] = completion
         self._rob.append((index, completion))
         return completion

@@ -1,63 +1,37 @@
-"""Batched tick kernel: record-once/replay-many simulation fast path.
+"""Per-trace precomputation the simulator's hot components read.
 
-``repro.core.kernel`` holds the strictly-typed kernel that batches the
-per-cycle hot path over :class:`~repro.isa.trace.Trace`'s numpy columns:
-
-* :mod:`~repro.core.kernel.columns` — per-trace precomputed columns
-  (backend latency/dependency hashes, branch spans, µ-op line ids);
 * :mod:`~repro.core.kernel.stream` — the recorded TAGE-SC-L/ITTAGE
-  prediction stream (one pre-pass per trace × predictor config);
-* :mod:`~repro.core.kernel.engine` — :class:`KernelSimulator`, the
-  drop-in :class:`~repro.core.pipeline.Simulator` subclass that replays
-  the stream and jumps branch spans, bit-identical by construction.
+  branch stream (one pass per trace × predictor config), the BPU's only
+  predictor input;
+* :mod:`~repro.core.kernel.columns` — the backend's PC-hash latency and
+  dependency-distance columns (one numpy pass per trace × backend
+  config).
 
-``REPRO_SIM_KERNEL`` selects the path (default on; ``"0"`` disables —
-same convention as ``REPRO_SIM_SKIP``).  The flag deliberately does not
-live in :class:`~repro.core.configs.SimConfig`: kernel and interpreter
-produce identical results, so the result-cache key must not depend on
-it.  Bit-identity is enforced by :mod:`repro.verify.kernel_diff`.
+Both are pure functions of the trace and config, cached per live trace
+object, and bit-identical to computing the same values inline; the
+pinned digests in ``tests/golden/sim_digests.json`` hold the simulator
+to that.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.core.kernel.columns import KernelColumns, build_columns, columns_key, get_columns
-from repro.core.kernel.engine import (
-    KernelBackend,
-    KernelSimulator,
-    ReplayBPU,
-    kernel_applicability,
-    kernel_applicable,
+from repro.core.kernel.columns import (
+    KernelColumns,
+    backend_columns,
+    build_columns,
+    columns_key,
+    get_columns,
 )
 from repro.core.kernel.stream import PredictionStream, get_stream, record_stream, stream_key
 
 __all__ = [
-    "KernelBackend",
     "KernelColumns",
-    "KernelSimulator",
     "PredictionStream",
-    "ReplayBPU",
+    "backend_columns",
     "build_columns",
     "columns_key",
     "get_columns",
     "get_stream",
-    "kernel_applicability",
-    "kernel_applicable",
-    "kernel_enabled",
     "record_stream",
     "stream_key",
 ]
-
-
-def kernel_enabled(override: bool | None = None) -> bool:
-    """Resolve the kernel on/off decision for one simulation.
-
-    ``override`` forces the choice; None defers to ``REPRO_SIM_KERNEL``
-    (default on, ``"0"`` disables).  Read at call time, never at import
-    time, so tests and the differential oracle can flip the variable
-    per run.
-    """
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_SIM_KERNEL", "1") != "0"

@@ -1,24 +1,16 @@
-"""Per-trace precomputed kernel columns.
+"""Per-trace precomputed backend columns.
 
-The batched kernel trades per-instruction recomputation for one numpy
-pass per (trace, config-scalars) pair:
-
-* the backend's PC-hash latency and dependency-distance columns (the
-  exact integer formulas of :meth:`repro.core.backend.Backend.dispatch`,
-  vectorized);
-* the branch-span column ``next_branch`` (for every index, the first
-  index at or after it whose branch class is not ``NOT_BRANCH``, with
-  ``len(trace)`` as the no-more-branches sentinel) — this is what lets
-  the replay BPU jump over non-branch runs in one step instead of
-  walking them instruction by instruction;
-* the µ-op line column ``lines`` (``pc // l1i_line_size``), consumed by
-  the replay BPU's fetch-directed-prefetch pass.
+The backend's per-dispatch PC hash (execution latency and synthetic
+dependency distance, see :meth:`repro.core.backend.Backend.dispatch`) is
+a pure function of the instruction's PC and the backend config scalars,
+so it is computed for a whole trace in one vectorized numpy pass.
 
 Columns are materialised as plain Python lists (per-element numpy
 indexing is slower than list indexing at simulator scale, see
-``Trace.list_columns``) and cached per live trace object in a weak-key
-map, so repeated simulations of the same trace — the perf harness, the
-experiment matrix, differential tests — pay the precompute once.
+``Trace.list_columns``); every value is a small int, so a list costs one
+pointer per instruction.  They are cached per live trace object in a
+weak-key map, so repeated simulations of the same trace — the perf
+harness, the experiment matrix, served jobs — pay the precompute once.
 """
 
 from __future__ import annotations
@@ -27,40 +19,27 @@ import weakref
 
 import numpy as np
 
-from repro.core.configs import SimConfig
+from repro.core.configs import BackendConfig, SimConfig
 from repro.isa.trace import Trace
 
 #: Cache key: every config scalar the column formulas consume.
-ColumnsKey = tuple[int, int, int, int, int, int, int]
+ColumnsKey = tuple[int, int, int, int, int, int]
 
 
 class KernelColumns:
-    """Precomputed per-instruction columns for one (trace, config) pair."""
+    """Precomputed per-instruction columns for one (trace, backend) pair."""
 
-    __slots__ = ("n", "latency", "distance", "next_branch", "lines")
+    __slots__ = ("latency", "distance")
 
-    def __init__(
-        self,
-        n: int,
-        latency: list[int],
-        distance: list[int],
-        next_branch: list[int],
-        lines: list[int],
-    ) -> None:
-        self.n = n
+    def __init__(self, latency: list[int], distance: list[int]) -> None:
         #: Execution latency per non-branch instruction (PC-hash formula).
         self.latency = latency
         #: Synthetic dependency distance per non-branch instruction.
         self.distance = distance
-        #: First branch index at or after each index (``n`` = none left).
-        self.next_branch = next_branch
-        #: L1I line id per instruction (``pc // line_size``).
-        self.lines = lines
 
 
-def columns_key(config: SimConfig) -> ColumnsKey:
-    """The config scalars the column formulas depend on."""
-    backend = config.backend
+def columns_key(backend: BackendConfig) -> ColumnsKey:
+    """The backend config scalars the column formulas depend on."""
     return (
         backend.load_hash_mod,
         backend.long_load_every,
@@ -68,19 +47,13 @@ def columns_key(config: SimConfig) -> ColumnsKey:
         backend.load_latency,
         backend.simple_latency,
         backend.dep_window,
-        config.hierarchy.l1i.line_size,
     )
 
 
-def build_columns(trace: Trace, config: SimConfig) -> KernelColumns:
-    """One vectorized pass over the trace columns (no caching)."""
-    backend = config.backend
-    n = len(trace)
-    pcs = trace.pcs
-    classes = trace.branch_classes
-
+def build_columns(trace: Trace, backend: BackendConfig) -> KernelColumns:
+    """One vectorized pass over the trace's PCs (no caching)."""
     # Backend PC hash, vectorized — must match Backend.dispatch bit for bit.
-    h = pcs >> 2
+    h = trace.pcs >> 2
     h = h ^ (h >> 7)
     h = h ^ (h >> 13)
     h = h & 0xFFFF
@@ -92,21 +65,7 @@ def build_columns(trace: Trace, config: SimConfig) -> KernelColumns:
         backend.simple_latency,
     )
     distance = 1 + ((h >> 4) % backend.dep_window)
-
-    # next_branch: reverse running minimum over branch positions.
-    index = np.arange(n, dtype=np.int64)
-    marks = np.where(classes != 0, index, np.int64(n))
-    next_branch = np.minimum.accumulate(marks[::-1])[::-1]
-
-    lines = pcs // config.hierarchy.l1i.line_size
-
-    return KernelColumns(
-        n=n,
-        latency=latency.tolist(),
-        distance=distance.tolist(),
-        next_branch=next_branch.tolist(),
-        lines=lines.tolist(),
-    )
+    return KernelColumns(latency.tolist(), distance.tolist())
 
 
 _CACHE: weakref.WeakKeyDictionary[Trace, dict[ColumnsKey, KernelColumns]] = (
@@ -114,17 +73,17 @@ _CACHE: weakref.WeakKeyDictionary[Trace, dict[ColumnsKey, KernelColumns]] = (
 )
 
 
-def get_columns(trace: Trace, config: SimConfig) -> KernelColumns:
+def backend_columns(trace: Trace, backend: BackendConfig) -> KernelColumns:
     """Cached :func:`build_columns` (weakly keyed by the trace object)."""
     per_trace = _CACHE.get(trace)
     if per_trace is None:
         per_trace = {}
         _CACHE[trace] = per_trace
-    key = columns_key(config)
+    key = columns_key(backend)
     columns = per_trace.get(key)
     built = columns is None
     if columns is None:
-        columns = per_trace[key] = build_columns(trace, config)
+        columns = per_trace[key] = build_columns(trace, backend)
     from repro.observe import telemetry
 
     tel = telemetry.maybe()
@@ -136,3 +95,8 @@ def get_columns(trace: Trace, config: SimConfig) -> KernelColumns:
             labels=("outcome",),
         ).inc(outcome="built" if built else "reused")
     return columns
+
+
+def get_columns(trace: Trace, config: SimConfig) -> KernelColumns:
+    """The backend columns a simulation of ``trace`` under ``config`` reads."""
+    return backend_columns(trace, config.backend)

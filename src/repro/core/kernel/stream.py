@@ -1,38 +1,40 @@
-"""Record-once/replay-many prediction streams.
+"""The recorded branch stream: the BPU's only predictor input.
 
-The expensive half of the interpreter's per-cycle cost is the baseline
-predictor stack (TAGE-SC-L + ITTAGE + folded global histories).  Its
-output is *timing-independent*: the BPU stalls at every misprediction
-(no wrong-path fetch), so it processes each branch exactly once, in
-trace order, and every predictor consult/update sequence is a pure
-function of (trace, predictor configs) — block boundaries, FTQ pressure
-and stall cycles only change *when* a branch is processed, never *what*
-the predictors see.
+The baseline predictor stack (TAGE-SC-L + ITTAGE + folded global
+histories) is *timing-independent*: the BPU stalls at every
+misprediction (no wrong-path fetch), so it processes each branch exactly
+once, in trace order, and every predictor consult/update sequence is a
+pure function of (trace, predictor configs) — block boundaries, FTQ
+pressure and stall cycles only change *when* a branch is processed,
+never *what* the predictors see.
 
-This module runs that sequence once per (trace, predictor-config) pair
-— mirroring ``BPU._build_block``'s call order exactly — and records
+:func:`record_stream` runs that sequence once per (trace, predictor
+config) pair with the live predictors and keeps, per branch in trace
+order,
 
-* the :class:`~repro.branch.tage_sc_l.TageScLPrediction` object for
-  every conditional branch, and
-* the mispredict outcome for every indirect/indirect-call branch,
+* the trace index (plus a final ``len(trace)`` sentinel), and
+* a small flag word: for a conditional, the predicted direction and the
+  TAGE-Conf / UCP-Conf H2P bits; for an indirect or indirect call, the
+  mispredict bit.
 
-which :class:`repro.core.kernel.engine.ReplayBPU` then consumes by
-cursor.  Everything *not* recorded here (BTB contents, RAS, bank sets,
-``taken_target``) stays live in the replay BPU: those structures are
-cheap, and UCP reads them mid-run.
+:class:`repro.frontend.bpu.BPU` reads it with one cursor.  Everything
+*not* recorded here (BTB contents, RAS, bank sets, ``taken_target``)
+stays live in the BPU: those structures are cheap, and UCP reads them
+mid-run.
 
 Streams are cached per live trace object in a weak-key map (the
 workload suite caches traces per (name, length), so repeated
-simulations — perf repeats, experiment matrices, differential tests —
-record once and replay many times).
+simulations — perf repeats, experiment matrices, served jobs — record
+once and replay many times).
 """
 
 from __future__ import annotations
 
 import weakref
 
+from repro.branch.confidence import tage_conf_is_h2p, ucp_conf_is_h2p
 from repro.branch.ittage import ITTAGE
-from repro.branch.tage_sc_l import TageScL, TageScLPrediction
+from repro.branch.tage_sc_l import TageScL
 from repro.core.configs import SimConfig
 from repro.isa.instruction import BranchClass
 from repro.isa.trace import Trace
@@ -40,6 +42,12 @@ from repro.isa.trace import Trace
 _COND_DIRECT = int(BranchClass.COND_DIRECT)
 _CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
 _INDIRECT = int(BranchClass.INDIRECT)
+
+#: Flag bits of one recorded branch.
+PREDICTED_TAKEN = 1
+TAGE_H2P = 2
+UCP_H2P = 4
+INDIRECT_MISPREDICTED = 8
 
 #: Cache key: the two predictor configs (frozen dataclasses).  BTB and
 #: RAS configuration is deliberately absent — neither feeds the TAGE or
@@ -50,17 +58,14 @@ StreamKey = tuple[object, object]
 class PredictionStream:
     """The recorded predictor outcomes for one (trace, config) pair."""
 
-    __slots__ = ("cond_predictions", "indirect_mispredicts")
+    __slots__ = ("indices", "flags")
 
-    def __init__(
-        self,
-        cond_predictions: list[TageScLPrediction],
-        indirect_mispredicts: list[bool],
-    ) -> None:
-        #: One prediction per conditional branch, in trace order.
-        self.cond_predictions = cond_predictions
-        #: One mispredict flag per indirect/indirect-call, in trace order.
-        self.indirect_mispredicts = indirect_mispredicts
+    def __init__(self, indices: list[int], flags: list[int]) -> None:
+        #: Trace index of every branch in trace order, then ``len(trace)``.
+        self.indices = indices
+        #: One flag word per branch (the bits above; 0 for branches no
+        #: predictor consults).
+        self.flags = flags
 
 
 def stream_key(config: SimConfig) -> StreamKey:
@@ -68,10 +73,9 @@ def stream_key(config: SimConfig) -> StreamKey:
 
 
 def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
-    """One pre-pass over the trace's branches (no caching).
+    """One pass over the trace's branches with the live predictors.
 
-    The call order per branch class mirrors ``BPU._build_block`` /
-    ``BPU._handle_conditional`` / ``BPU._handle_indirect`` exactly —
+    The call order per branch class is the decoupled frontend's —
     predictor state is path-dependent, so any reordering would change
     later predictions:
 
@@ -83,23 +87,25 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
       ``indirect.update``.
 
     Returns and direct jumps/calls consult no predictor (the RAS stays
-    live in the replay BPU), so only their history pushes appear here.
+    live in the BPU), so only their history pushes appear here.
     """
     cond = TageScL(config.branch_predictor)
     indirect = ITTAGE(config.indirect_predictor)
     pcs, classes, takens, targets, _next_pcs = trace.list_columns()
 
-    cond_predictions: list[TageScLPrediction] = []
-    indirect_mispredicts: list[bool] = []
-
-    branch_indices = trace.branch_classes.nonzero()[0].tolist()
-    for i in branch_indices:
+    indices: list[int] = trace.branch_classes.nonzero()[0].tolist()
+    flags: list[int] = []
+    for i in indices:
         branch_class = classes[i]
         pc = pcs[i]
         if branch_class == _COND_DIRECT:
             taken = takens[i]
             prediction = cond.predict(pc)
-            cond_predictions.append(prediction)
+            flags.append(
+                (PREDICTED_TAKEN if prediction.taken else 0)
+                | (TAGE_H2P if tage_conf_is_h2p(prediction) else 0)
+                | (UCP_H2P if ucp_conf_is_h2p(prediction) else 0)
+            )
             cond.update(prediction, taken)
             indirect.push_history(pc, taken)
             continue
@@ -108,10 +114,13 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
         if branch_class == _CALL_INDIRECT or branch_class == _INDIRECT:
             target = targets[i]
             ipred = indirect.predict(pc)
-            indirect_mispredicts.append(ipred.target != target)
+            flags.append(INDIRECT_MISPREDICTED if ipred.target != target else 0)
             indirect.update(ipred, target)
+        else:
+            flags.append(0)
 
-    return PredictionStream(cond_predictions, indirect_mispredicts)
+    indices.append(len(trace))
+    return PredictionStream(indices, flags)
 
 
 _CACHE: weakref.WeakKeyDictionary[Trace, dict[StreamKey, PredictionStream]] = (

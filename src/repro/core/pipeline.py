@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 
-from repro.branch.confidence import ConfidenceStats, tage_conf_is_h2p, ucp_conf_is_h2p
+from repro.branch.confidence import ConfidenceStats
 from repro.caches.hierarchy import MemoryHierarchy
 from repro.caches.uopcache import UopCache
 from repro.common.stats import StatBlock, per_kilo, percent
@@ -182,7 +182,9 @@ class Simulator:
                 )
         self.prefetcher = make_prefetcher(config.l1i_prefetcher)
         self.mrc = MRC(config.mrc_entries) if config.mrc_entries else None
-        self.bpu = self._make_bpu()
+        self.bpu = BPU(
+            config, trace, self.stats, hierarchy=self.hierarchy, prefetcher=self.prefetcher
+        )
         self.fetch = FetchEngine(
             config,
             trace,
@@ -193,7 +195,7 @@ class Simulator:
             prefetcher=self.prefetcher,
             mrc=self.mrc,
         )
-        self.backend = self._make_backend()
+        self.backend = Backend(config.backend, trace, self.stats)
         self.ftq = FTQ(config.frontend.ftq_capacity)
         self.confidence = {
             "tage": ConfidenceStats("tage"),
@@ -243,33 +245,12 @@ class Simulator:
         self._n_instructions = len(trace)
 
     # ------------------------------------------------------------------
-    # Component factories
-    # ------------------------------------------------------------------
-    # The batched kernel (repro.core.kernel) swaps the two hot components
-    # by overriding these; everything else — including run() itself — is
-    # shared, which is what makes the kernel bit-identical by
-    # construction.
-
-    def _make_bpu(self) -> BPU:
-        return BPU(
-            self.config,
-            self.trace,
-            self.stats,
-            hierarchy=self.hierarchy,
-            prefetcher=self.prefetcher,
-        )
-
-    def _make_backend(self) -> Backend:
-        return Backend(self.config.backend, self.trace, self.stats)
-
-    # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
 
     def _on_conditional(self, event: BranchEvent, cycle: int) -> None:
-        prediction = event.prediction
-        self.confidence["tage"].record(tage_conf_is_h2p(prediction), event.mispredicted)
-        self.confidence["ucp"].record(ucp_conf_is_h2p(prediction), event.mispredicted)
+        self.confidence["tage"].record(event.tage_h2p, event.mispredicted)
+        self.confidence["ucp"].record(event.ucp_h2p, event.mispredicted)
         if self.ucp is not None:
             self.ucp.on_conditional(event, cycle)
 
@@ -495,7 +476,6 @@ def simulate(
     idle_skip: bool | None = None,
     observe: bool | None = None,
     interval: int | None = None,
-    kernel: bool | None = None,
 ) -> SimResult:
     """Convenience wrapper: build a :class:`Simulator` and run it.
 
@@ -508,26 +488,7 @@ def simulate(
     ``REPRO_SIM_TRACE``; results are bit-identical either way), and
     ``interval`` overrides the interval-metrics window in cycles (0
     disables sampling, None defers to ``REPRO_SIM_INTERVAL``).
-    ``kernel`` selects the batched replay kernel
-    (:mod:`repro.core.kernel`) or the scalar interpreter; None defers to
-    ``REPRO_SIM_KERNEL`` (default on, ``"0"`` disables).  Results are
-    bit-identical either way — the kernel falls back to the interpreter
-    on its own whenever the checker or observer is active.  Like the
-    other knobs, it is deliberately not part of ``SimConfig`` so the
-    result-cache key cannot depend on it.
     """
-    from repro.core.kernel import KernelSimulator, kernel_enabled
-
-    if kernel_enabled(kernel):
-        return KernelSimulator(
-            trace,
-            config,
-            name=name,
-            check=check,
-            idle_skip=idle_skip,
-            observe=observe,
-            interval=interval,
-        ).run()
     return Simulator(
         trace,
         config,

@@ -29,8 +29,10 @@ or a new H2P trigger (which flushes the Alt-FTQ and restarts).
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
+from typing import Callable
 
-from repro.branch.confidence import tage_conf_is_h2p, ucp_conf_is_h2p
+from repro.branch.confidence import ucp_conf_is_h2p
 from repro.branch.ittage import ITTAGE, ITTAGEConfig
 from repro.branch.perceptron import HashedPerceptron, perceptron_is_h2p
 from repro.branch.ras import ReturnAddressStack
@@ -112,10 +114,11 @@ class UCPEngine:
         #: repro.observe event bus; None keeps every emit a pointer test.
         self.observer = None
 
+        self._is_h2p: Callable[[BranchEvent], bool]
         if self.ucp.confidence == "ucp":
-            self._is_h2p = ucp_conf_is_h2p
+            self._is_h2p = attrgetter("ucp_h2p")
         elif self.ucp.confidence == "tage":
-            self._is_h2p = tage_conf_is_h2p
+            self._is_h2p = attrgetter("tage_h2p")
         elif self.ucp.confidence == "perceptron":
             # Perceptron-output-magnitude confidence (Akkary et al. [6],
             # paper Section VII-D): a small side predictor trained on the
@@ -129,7 +132,7 @@ class UCPEngine:
     # BPU hooks: keep Alt predictors trained on the predicted path
     # ------------------------------------------------------------------
 
-    def _perceptron_h2p(self, _prediction) -> bool:
+    def _perceptron_h2p(self, _event: BranchEvent) -> bool:
         return self._last_perceptron_h2p
 
     def on_conditional(self, event: BranchEvent, cycle: int) -> None:
@@ -143,7 +146,7 @@ class UCPEngine:
         if self.alt_ind is not None:
             self.alt_ind.push_history(event.pc, event.actual_taken)
 
-        if not self._is_h2p(event.prediction):
+        if not self._is_h2p(event):
             return
         self.stats.add("ucp_h2p_triggers")
         alt_start = self._alternate_start(event)
@@ -176,7 +179,7 @@ class UCPEngine:
 
     def _alternate_start(self, event: BranchEvent) -> int | None:
         """PC where the alternate path begins (opposite the prediction)."""
-        if event.prediction.taken:
+        if event.predicted_taken:
             return event.pc + 4  # alternate = fall-through
         return event.taken_target  # alternate = taken target (from BTB)
 
@@ -187,7 +190,7 @@ class UCPEngine:
         self.alt_ftq.clear()
         self.active = True
         self.trigger_index = event.index
-        self.trigger_alt_taken = not event.prediction.taken
+        self.trigger_alt_taken = not event.predicted_taken
         self._walk_pc = alt_start
         self._stop_counter = 0.0
         self._threshold = float(self.ucp.stop_threshold)
@@ -206,10 +209,10 @@ class UCPEngine:
         # Resynchronise the alternate history: predicted-path history plus
         # the H2P branch taken in the *opposite* direction.
         self.alt_histories.copy_from(self.alt_bp.histories)
-        self.alt_histories.push(event.pc, not event.prediction.taken)
+        self.alt_histories.push(event.pc, not event.predicted_taken)
         if self.alt_ind is not None:
             self.alt_ind_histories.copy_from(self.alt_ind.histories)
-            self.alt_ind_histories.push(event.pc, not event.prediction.taken)
+            self.alt_ind_histories.push(event.pc, not event.predicted_taken)
         self.alt_ras.copy_from(self.sim.bpu.ras)
 
     def _stop_walk(self, reason: str) -> None:

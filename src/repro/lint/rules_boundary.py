@@ -5,8 +5,8 @@ Both consume the interprocedural effect pass: SIM012 follows the
 ``unpicklable-capture`` effect into `ProcessPoolExecutor.submit` call
 sites (`repro.analysis.parallel`, `repro.serve.scheduler`), and SIM013
 re-proves — statically, project-wide — the determinism contract that the
-kernel-vs-interpreter differential oracle checks dynamically: nothing
-derived from host time or global RNG may reach a simulated counter.
+pinned result digests check dynamically: nothing derived from host time
+or global RNG may reach a simulated counter.
 """
 
 from __future__ import annotations
@@ -273,14 +273,13 @@ class StatFeedDeterminismRule(ProjectRule):
     title = "no wall-clock/RNG effect reachable from functions feeding StatBlock counters"
     rationale = """\
 Simulated counters must be a pure function of (workload, config, seed):
-the result cache keys on exactly that triple, and the kernel-vs-
-interpreter differential oracle (PR 8) compares counters bit-for-bit
-across engines and processes.  A function in `repro.core` / `repro.isa`
+the result cache keys on exactly that triple, and the pinned result
+digests compare counters bit-for-bit across runs, hosts and processes.  A function in `repro.core` / `repro.isa`
 that feeds a `StatBlock` and — anywhere below it in the call graph —
 reads host time or global RNG makes counters depend on the host, which
 the per-file wall-clock rule (SIM002) cannot see once the read hides
 behind a helper.  This is the static twin of the dynamic determinism
-check: the oracle catches a divergence when it runs; this rule proves
+check: a digest test catches a divergence when it runs; this rule proves
 the code shape cannot diverge."""
     bad_example = """\
 import time

@@ -7,7 +7,8 @@ the invariant checker forced on, and records which invariant fired.  The
 harness proves two properties:
 
 * **sensitivity** — every registered fault raises :class:`SimCheckError`
-  from one of its expected invariants;
+  from one of its expected invariants, or, for a timing-only fault,
+  changes the result (:data:`RESULT_DIGEST`);
 * **specificity** — the clean model never fires (covered by
   :func:`repro.verify.differential.run_verification` and the tier-1
   invariant tests).
@@ -60,6 +61,10 @@ class Fault:
 
 
 FAULTS: dict[str, Fault] = {}
+
+#: Pseudo-invariant of timing-only faults: no structural rule breaks, but
+#: the result differs from the clean model's (the pinned digests see it).
+RESULT_DIGEST = "result-digest"
 
 
 def _register(fault: Fault) -> Fault:
@@ -274,6 +279,113 @@ _register(
 )
 
 
+# The BPU's stream-replay faults.  They keep the names they had when they
+# targeted a separate replay kernel, so `repro verify --inject <name>`
+# invocations stay valid.
+
+
+def _inject_bpu_span_off_by_one():
+    """The BPU's straight-line jump swallows a branch in the last slot."""
+    from repro.frontend.bpu import _COND_DIRECT, BPU
+    from repro.frontend.ftq import FetchBlock
+
+    def _build_block(self, cycle):
+        start = self.index
+        end = min(start + self._fetch_block_size, self._n_instructions)
+        while True:
+            cursor = self._cursor
+            i = self._branch_at[cursor]
+            # BUG: fence-post error — a branch in the block's last slot
+            # counts as part of the straight-line run, so it is consumed
+            # as a plain instruction and its handler never runs.
+            if i + 1 >= end:
+                self.index = end
+                return FetchBlock(start, end - start)
+            self.index = i + 1
+            self._cursor = cursor + 1
+            pc, target = self._pcs[i], self._targets[i]
+            if self._classes[i] == _COND_DIRECT:
+                mispredicted, block_taken = self._handle_conditional(
+                    i, pc, self._takens[i], target, self._flags[cursor], cycle
+                )
+                if not (mispredicted or block_taken):
+                    continue
+            else:
+                mispredicted = self._handle_unconditional(
+                    i, pc, self._classes[i], target, self._flags[cursor], cycle
+                )
+            return FetchBlock(
+                start, i + 1 - start, ends_taken=not mispredicted, mispredicted=mispredicted
+            )
+
+    return _patched(BPU, "_build_block", _build_block)
+
+
+_register(
+    Fault(
+        name="kernel-span-off-by-one",
+        description="the BPU's straight-line jump overshoots by one "
+        "instruction, swallowing a branch in a block's last slot unhandled",
+        expected_invariants=("bpu-stream",),
+        inject=_inject_bpu_span_off_by_one,
+    )
+)
+
+
+def _inject_bpu_stale_branch_class():
+    """The BPU handles direct calls with a stale (plain-jump) class."""
+    from repro.frontend.bpu import _CALL_DIRECT, _UNCOND_DIRECT, BPU
+
+    real_handle = BPU._handle_unconditional
+
+    def _handle_unconditional(self, index, pc, branch_class, target, flags, cycle):
+        # BUG: stale branch class — a direct call takes the plain-jump arm,
+        # so its return address is never pushed and the matching return
+        # pops a stale RAS entry.
+        if branch_class == _CALL_DIRECT:
+            branch_class = _UNCOND_DIRECT
+        return real_handle(self, index, pc, branch_class, target, flags, cycle)
+
+    return _patched(BPU, "_handle_unconditional", _handle_unconditional)
+
+
+_register(
+    Fault(
+        name="kernel-stale-branch-class",
+        description="the BPU handles direct calls as plain jumps: no RAS "
+        "push, so return prediction reads stale addresses (timing only)",
+        expected_invariants=(RESULT_DIGEST,),
+        inject=_inject_bpu_stale_branch_class,
+        workload="dc_call_01",
+    )
+)
+
+
+def _inject_bpu_skipped_redirect_bubble():
+    """BPU redirect forgets the redirect-latency bubble."""
+    from repro.frontend.bpu import BPU
+
+    def redirect(self, cycle):
+        if self.stalled_on is None:
+            raise RuntimeError("redirect without a stalled branch")
+        self.stalled_on = None
+        # BUG: resume_cycle is not advanced — fetch resumes with zero
+        # bubble after every misprediction.
+
+    return _patched(BPU, "redirect", redirect)
+
+
+_register(
+    Fault(
+        name="kernel-skipped-event-boundary",
+        description="BPU redirect drops the resume-cycle bubble: fetch "
+        "restarts instantly after every misprediction (timing only)",
+        expected_invariants=(RESULT_DIGEST,),
+        inject=_inject_bpu_skipped_redirect_bubble,
+    )
+)
+
+
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
@@ -303,14 +415,17 @@ def run_fault(name: str) -> FaultResult:
 
     A fault that wedges the pipeline is still a catch *only* if an
     invariant fired first — a bare no-forward-progress RuntimeError counts
-    as missed, since the sanitizer's job is to localise the bug.
+    as missed, since the sanitizer's job is to localise the bug.  A
+    timing-only fault (expected invariant :data:`RESULT_DIGEST`) breaks no
+    structural rule; it is caught when the checked run's result differs
+    from a clean run's.
     """
     fault = FAULTS[name]
     trace = load_workload(fault.workload, fault.n_instructions).trace
     with fault.inject():
         sim = Simulator(trace, fault.config, name=fault.workload, check=True)
         try:
-            sim.run()
+            faulted = sim.run()
         except SimCheckError as error:
             expected = error.invariant in fault.expected_invariants
             return FaultResult(
@@ -329,6 +444,17 @@ def run_fault(name: str) -> FaultResult:
                 invariant=None,
                 cycle=None,
                 detail=f"run died without an invariant firing: {error}",
+            )
+    if RESULT_DIGEST in fault.expected_invariants:
+        clean = Simulator(trace, fault.config, name=fault.workload, check=False).run()
+        if clean.to_dict() != faulted.to_dict():
+            return FaultResult(
+                fault=name,
+                caught=True,
+                invariant=RESULT_DIGEST,
+                cycle=faulted.cycles,
+                detail=f"result diverges from the clean model "
+                f"({faulted.cycles} vs {clean.cycles} cycles)",
             )
     return FaultResult(
         fault=name,

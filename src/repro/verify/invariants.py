@@ -196,7 +196,14 @@ def _l1i_shadow(checker: SimChecker, cycle: int) -> None:
 
 @register_invariant("bpu-ras")
 def _bpu_ras(checker: SimChecker, cycle: int) -> None:
-    """BPU cursor bounds; RAS depth bounds + reference-RAS agreement."""
+    """RAS depth bounds + reference-RAS agreement."""
+    checker.sim.bpu.ras.check_invariants()
+
+
+@register_invariant("bpu-stream")
+def _bpu_stream(checker: SimChecker, cycle: int) -> None:
+    """BPU cursor bounds; the stream cursor brackets the generation cursor
+    (every recorded branch behind it processed, none ahead of it)."""
     checker.sim.bpu.check_invariants()
 
 

@@ -1,20 +1,19 @@
-"""Hypothesis property suite for kernel batching boundaries.
+"""Hypothesis property suite for batching boundaries on the one path.
 
-The three fast-path mechanisms — the batched replay kernel
-(``REPRO_SIM_KERNEL``), event-driven idle-skip (``REPRO_SIM_SKIP``) and
-interval sampling (``REPRO_SIM_INTERVAL``) — each promise bit-identical
-results, and they compose.  These properties drive randomly generated
-traces (random branch mixes, loop/H2P fractions, so span and event
-boundaries land in arbitrary places) through the full 2×2 matrix and
-demand identical ``StatBlock`` exports, interval samples and
-stall-taxonomy partitions.
+The remaining fast-path mechanisms — event-driven idle-skip
+(``REPRO_SIM_SKIP``) and interval sampling (``REPRO_SIM_INTERVAL``) —
+each promise bit-identical results, and they compose with the BPU's
+stream-cursor span jumps and with arming the sanitizer or observer.
+These properties drive randomly generated traces (random branch mixes,
+loop/H2P fractions, so span and event boundaries land in arbitrary
+places) through the matrix and demand identical ``StatBlock`` exports,
+interval samples and stall-taxonomy partitions.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configs import SimConfig
-from repro.core.kernel import KernelSimulator
 from repro.core.pipeline import Simulator, simulate
 from repro.workloads import WorkloadConfig, generate_trace
 
@@ -45,56 +44,53 @@ class TestKernelSkipIntervalMatrix:
         trace = _random_trace(seed, loop_fraction, h2p)
         config = SimConfig()
         reference = simulate(
-            trace, config, kernel=False, idle_skip=False, interval=interval
+            trace, config, idle_skip=False, interval=interval
         ).to_dict()
-        for kernel in (False, True):
+        for armed in (False, True):
             for idle_skip in (False, True):
                 result = simulate(
                     trace,
                     config,
-                    kernel=kernel,
+                    check=armed,
+                    observe=armed,
                     idle_skip=idle_skip,
                     interval=interval,
                 ).to_dict()
                 assert result == reference, (
-                    f"divergence at kernel={kernel} skip={idle_skip} "
+                    f"divergence at armed={armed} skip={idle_skip} "
                     f"interval={interval}"
                 )
 
     @settings(deadline=None, max_examples=4)
     @given(seed=st.integers(0, 10_000))
     def test_skip_telemetry_identical_under_kernel(self, seed):
-        """Idle-skip must jump the *same* cycles on both paths: the wake
-        analysis reads component state the kernel claims not to perturb."""
+        """Idle-skip must jump the *same* cycles whether or not the
+        sanitizer and observer are armed: the wake analysis reads
+        component state neither may perturb."""
         trace = _random_trace(seed, 0.3, 0.1)
         config = SimConfig()
-        interp = Simulator(trace, config, check=False, observe=False, idle_skip=True)
-        interp.run()
-        kernel = KernelSimulator(
-            trace, config, check=False, observe=False, idle_skip=True
-        )
-        kernel.run()
-        assert kernel.kernel_active
-        assert (interp.skipped_cycles, interp.skip_events) == (
-            kernel.skipped_cycles,
-            kernel.skip_events,
+        plain = Simulator(trace, config, check=False, observe=False, idle_skip=True)
+        plain.run()
+        armed = Simulator(trace, config, check=True, observe=True, idle_skip=True)
+        armed.run()
+        assert (plain.skipped_cycles, plain.skip_events) == (
+            armed.skipped_cycles,
+            armed.skip_events,
         )
 
     @settings(deadline=None, max_examples=4)
     @given(seed=st.integers(0, 10_000), h2p=st.floats(0.0, 0.3))
     def test_taxonomy_partition_identical(self, seed, h2p):
-        """With the observer on, the kernel falls back to the interpreter
-        — the stall-taxonomy partition must be identical whatever
-        REPRO_SIM_KERNEL says, and must still cover every cycle."""
+        """The stall-taxonomy partition must cover every cycle and be the
+        same whether idle cycles are skipped or stepped."""
         trace = _random_trace(seed, 0.2, h2p)
         config = SimConfig()
         taxonomies = []
-        for kernel in (False, True):
-            sim_cls = KernelSimulator if kernel else Simulator
-            sim = sim_cls(trace, config, observe=True)
+        for idle_skip in (False, True):
+            sim = Simulator(trace, config, observe=True, idle_skip=idle_skip)
             result = sim.run()
             taxonomy = sim.observer.taxonomy
-            taxonomy.check_partition(result.cycles, name=f"kernel={kernel}")
+            taxonomy.check_partition(result.cycles, name=f"skip={idle_skip}")
             taxonomies.append(taxonomy.as_dict())
         assert taxonomies[0] == taxonomies[1]
 
@@ -106,7 +102,7 @@ class TestKernelSkipIntervalMatrix:
     def test_interval_series_identical(self, seed, interval):
         trace = _random_trace(seed, 0.25, 0.15)
         config = SimConfig()
-        interp = simulate(trace, config, kernel=False, interval=interval)
-        kernel = simulate(trace, config, kernel=True, interval=interval)
-        assert interp.intervals == kernel.intervals
-        assert len(kernel.intervals) > 0
+        stepped = simulate(trace, config, idle_skip=False, interval=interval)
+        skipped = simulate(trace, config, idle_skip=True, interval=interval)
+        assert stepped.intervals == skipped.intervals
+        assert len(skipped.intervals) > 0

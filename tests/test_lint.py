@@ -688,14 +688,12 @@ class TestSelfCheck:
         report = LintEngine().lint_paths([REPO / "src"])
         # Wall-clock telemetry + timeout-deadline bookkeeping in
         # parallel.py (7), worker/queue timing in serve/scheduler.py (4),
-        # the eviction grace-window clock in serve/eviction.py (1), the
-        # kernel-vs-interpreter speedup telemetry in verify/kernel_diff.py
-        # (3), and the span/flight-recorder timestamps in
-        # observe/telemetry (4).  The SIM009/SIM010 lint-ok comments added
+        # the eviction grace-window clock in serve/eviction.py (1), and the
+        # span/flight-recorder timestamps in observe/telemetry (4).  The SIM009/SIM010 lint-ok comments added
         # with the interprocedural pass are effect cuts: they remove the
         # effect before any finding is generated, so they do not increment
         # this counter.
-        assert report.suppressed == 19
+        assert report.suppressed == 16
 
     def test_finding_ordering_is_total(self):
         a = Finding("a.py", 1, 1, "SIM001", "x")

@@ -186,17 +186,6 @@ class TestBenchSchema:
         with pytest.raises(ValueError, match="schema"):
             lib.validate_bench(wrong_schema)
 
-        unstamped = copy.deepcopy(payload)
-        del unstamped["environment"]
-        with pytest.raises(ValueError, match="environment"):
-            lib.validate_bench(unstamped)
-
-        stale = copy.deepcopy(payload)
-        del stale["environment"]
-        stale["schema"] = 1
-        with pytest.raises(ValueError, match="regenerate"):
-            lib.validate_bench(stale)
-
         short = copy.deepcopy(payload)
         short["configs"].popitem()
         with pytest.raises(ValueError, match="pinned subset"):

@@ -11,11 +11,10 @@ Four layers, bottom-up:
   (client.run → serve.request → sched.job → worker.job →
   runner.simulate), a crashed worker dumps a flight-recorder artifact
   containing the job's final events, streamed interval/taxonomy events
-  are bit-identical to a local observer run even when the worker falls
-  back from the replay kernel to the interpreter, and the
-  ``--metrics-port`` endpoint scrapes over real HTTP;
+  are bit-identical to a local observer run on the same stream-driven
+  path, and the ``--metrics-port`` endpoint scrapes over real HTTP;
 * CLI — ``repro top``, ``repro cache stats`` lifetime rates and
-  ``--json``, and the ``repro metrics`` engine/fallback surface.
+  ``--json``.
 
 Server tests reuse the :mod:`tests.test_serve` harness idioms: thread
 mode on a real localhost socket, sync tests driving :func:`run_async`.
@@ -25,18 +24,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import logging
 import threading
 from concurrent.futures import BrokenExecutor
 
 import pytest
 
 import repro.analysis.runner as runner
-import repro.core.kernel.engine as kernel_engine
 import repro.serve.scheduler as scheduler_mod
 from repro.cli import main
 from repro.core import SimConfig
-from repro.core.kernel import KernelSimulator
 from repro.core.pipeline import Simulator
 from repro.observe import stream, telemetry
 from repro.observe.telemetry import (
@@ -421,7 +417,7 @@ async def _http_get(port: int, path: str) -> str:
 
 
 class TestBitIdentity:
-    def _run(self, sim_cls, override: str | None, monkeypatch) -> dict:
+    def _run(self, observe: bool, override: str | None, monkeypatch) -> dict:
         with pytest.MonkeyPatch.context() as mp:
             if override is None:
                 mp.delenv("REPRO_SIM_TELEMETRY", raising=False)
@@ -430,19 +426,21 @@ class TestBitIdentity:
             telemetry.reset()
             try:
                 spec = load_workload("fp_01", N_INSTRUCTIONS)
-                sim = sim_cls(spec.trace, SimConfig(), name="fp_01", observe=True)
+                sim = Simulator(spec.trace, SimConfig(), name="fp_01", observe=observe)
                 return sim.run().to_dict()
             finally:
                 telemetry.reset()
 
     def test_interpreter_results_identical_on_vs_off(self, monkeypatch):
-        off = self._run(Simulator, None, monkeypatch)
-        on = self._run(Simulator, "1", monkeypatch)
+        # Observer armed, as every served job runs.
+        off = self._run(True, None, monkeypatch)
+        on = self._run(True, "1", monkeypatch)
         assert off == on
 
     def test_kernel_engine_results_identical_on_vs_off(self, monkeypatch):
-        off = self._run(KernelSimulator, None, monkeypatch)
-        on = self._run(KernelSimulator, "1", monkeypatch)
+        # No observer: the plain stream-driven run behind published numbers.
+        off = self._run(False, None, monkeypatch)
+        on = self._run(False, "1", monkeypatch)
         assert off == on
 
 
@@ -556,8 +554,7 @@ class TestCrashDump:
 
 
 # ---------------------------------------------------------------------------
-# satellite: streamed telemetry is bit-identical to a local observer run,
-# including when the worker falls back from the replay kernel
+# satellite: streamed telemetry is bit-identical to a local observer run
 
 
 class TestStreamedTelemetryBitIdentity:
@@ -575,21 +572,17 @@ class TestStreamedTelemetryBitIdentity:
             for event in reply.events
         ]
 
-        # The served worker ran KernelSimulator with the observer armed:
-        # the kernel itself fell back to the interpreter mid-suite and
-        # said so on the labeled counter.
-        fallbacks = telemetry.registry().value(
-            "repro_kernel_fallback_total", reason="observer-armed"
-        )
-        assert fallbacks is not None and fallbacks >= 1
+        # The served worker simulated with the observer armed, through the
+        # recorded branch stream like every other run.
+        lookups = [
+            telemetry.registry().value("repro_kernel_stream_total", outcome=outcome)
+            for outcome in ("recorded", "reused")
+        ]
+        assert sum(count or 0 for count in lookups) >= 1
 
         # A local observer run must stream the exact same numbers.
         spec = load_workload("fp_01", N_INSTRUCTIONS)
-        sim = KernelSimulator(
-            spec.trace, SimConfig(), name="fp_01", observe=True
-        )
-        assert sim.kernel_active is False
-        assert sim.kernel_fallback_reason == "observer-armed"
+        sim = Simulator(spec.trace, SimConfig(), name="fp_01", observe=True)
         result = sim.run()
         key = runner.cache_key("fp_01", N_INSTRUCTIONS, SimConfig())
         assert sim.observer is not None
@@ -608,54 +601,6 @@ class TestStreamedTelemetryBitIdentity:
         ] == [expected_taxonomy]
         finished = [e for e in streamed if e["event"] == "job-finished"]
         assert len(finished) == 1 and finished[0]["cached"] is False
-
-
-# ---------------------------------------------------------------------------
-# satellite: kernel fallback is loud (counter + one-time warning)
-
-
-class TestKernelFallbackSurface:
-    def test_counter_counts_every_run_warning_fires_once(
-        self, telemetry_on, monkeypatch, caplog
-    ):
-        monkeypatch.setattr(kernel_engine, "_WARNED_REASONS", set())
-        spec = load_workload("fp_01", N_INSTRUCTIONS)
-        with caplog.at_level(logging.WARNING, logger=kernel_engine.__name__):
-            for _ in range(3):
-                KernelSimulator(
-                    spec.trace, SimConfig(), name="fp_01", observe=True
-                )
-        warned = [
-            record
-            for record in caplog.records
-            if "replay kernel inactive" in record.message
-        ]
-        assert len(warned) == 1
-        assert "observer-armed" in warned[0].getMessage()
-        assert (
-            telemetry.registry().value(
-                "repro_kernel_fallback_total", reason="observer-armed"
-            )
-            == 3
-        )
-
-    def test_repro_metrics_names_the_engine(self, fresh_cache, capsys):
-        assert (
-            main(["metrics", "fp_01", "--instructions", str(N_INSTRUCTIONS)])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "engine: interpreter (observer-armed)" in out
-
-    def test_repro_metrics_respects_kernel_kill_switch(
-        self, fresh_cache, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
-        assert (
-            main(["metrics", "fp_01", "--instructions", str(N_INSTRUCTIONS)])
-            == 0
-        )
-        assert "engine: interpreter (REPRO_SIM_KERNEL=0)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

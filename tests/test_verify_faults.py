@@ -67,16 +67,14 @@ class TestFaultListingCompleteness:
     """
 
     def _all_registries(self):
-        from repro.verify.kernel_faults import KERNEL_FAULTS
         from repro.verify.service_faults import SERVICE_FAULTS
 
-        return {**FAULTS, **SERVICE_FAULTS, **KERNEL_FAULTS}
+        return {**FAULTS, **SERVICE_FAULTS}
 
     def test_registries_do_not_collide(self):
-        from repro.verify.kernel_faults import KERNEL_FAULTS
         from repro.verify.service_faults import SERVICE_FAULTS
 
-        registries = [set(FAULTS), set(SERVICE_FAULTS), set(KERNEL_FAULTS)]
+        registries = [set(FAULTS), set(SERVICE_FAULTS)]
         combined = set().union(*registries)
         assert len(combined) == sum(len(r) for r in registries)
 
@@ -94,7 +92,7 @@ class TestFaultListingCompleteness:
         import repro.cli as cli
 
         source = open(cli.__file__, encoding="utf-8").read()
-        for registry in ("FAULTS", "SERVICE_FAULTS", "KERNEL_FAULTS"):
+        for registry in ("FAULTS", "SERVICE_FAULTS"):
             assert f"args.inject in {registry}" in source, (
                 f"--inject does not dispatch on {registry}"
             )
@@ -102,14 +100,11 @@ class TestFaultListingCompleteness:
     def test_every_fault_is_provably_caught(self):
         """Each registry's sensitivity proof: run one representative from
         the harness entry points that CI exercises exhaustively in the
-        parametrized suites (test_verify_faults / test_serve_faults /
-        test_kernel_faults)."""
-        from repro.verify.kernel_faults import KERNEL_FAULTS, run_kernel_fault
+        parametrized suites (test_verify_faults / test_serve_faults)."""
         from repro.verify.service_faults import SERVICE_FAULTS, run_service_fault
 
         assert run_fault(next(iter(FAULTS))).caught
         assert run_service_fault(next(iter(SERVICE_FAULTS))).caught
-        assert run_kernel_fault(next(iter(KERNEL_FAULTS))).caught
 
 
 def test_differential_oracle_catches_dup_without_cycle_checks():

@@ -106,6 +106,7 @@ class TestCheckerMechanics:
             "uop-cache-entries",
             "l1i-shadow",
             "bpu-ras",
+            "bpu-stream",
             "commit-conservation",
             "commit-monotonic",
             "queue-dispatch-seam",
