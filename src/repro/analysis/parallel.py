@@ -12,12 +12,19 @@ stats — just faster on multi-core machines.
 Worker count resolution order:
 
 1. explicit ``jobs=`` argument;
-2. the ``REPRO_SIM_JOBS`` environment variable;
-3. ``os.cpu_count()``.
+2. the ``jobs`` of the enclosing :func:`pool_scope`;
+3. the ``REPRO_SIM_JOBS`` environment variable;
+4. ``os.cpu_count()``.
 
 ``jobs=1`` (or a single pending job, or a platform without usable
 ``multiprocessing`` start methods) falls back to a serial in-process loop
 — no pool, no pickling, identical results.
+
+Pool lifetime: a bare :meth:`ParallelRunner.run` starts a pool for its
+batch and shuts it down before returning.  Inside :func:`pool_scope`
+(which :func:`repro.experiments.registry.run_experiment` opens around
+every driver) all batches borrow one pool, so workers keep their
+generated traces and recorded branch streams from batch to batch.
 
 Example
 -------
@@ -34,7 +41,10 @@ import multiprocessing
 import os
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.analysis import runner as _runner
@@ -50,6 +60,7 @@ __all__ = [
     "JobTimeoutError",
     "ParallelExecutionError",
     "ParallelRunner",
+    "pool_scope",
     "resolve_job_count",
     "resolve_job_timeout",
     "run_jobs",
@@ -165,7 +176,11 @@ class JobTimeoutError(RuntimeError):
 
 
 def resolve_job_count(jobs: int | None = None) -> int:
-    """Worker count: explicit arg > ``REPRO_SIM_JOBS`` > ``os.cpu_count()``."""
+    """Worker count: explicit arg > the enclosing :func:`pool_scope`'s
+    ``jobs`` > ``REPRO_SIM_JOBS`` > ``os.cpu_count()``."""
+    if jobs is None:
+        scope = _scope.get()
+        jobs = None if scope is None else scope.jobs
     if jobs is None:
         env = os.environ.get("REPRO_SIM_JOBS", "").strip()
         if env:
@@ -205,6 +220,87 @@ def _pool_context() -> multiprocessing.context.BaseContext | None:
     return None
 
 
+def _new_pool(
+    workers: int, context: multiprocessing.context.BaseContext
+) -> ProcessPoolExecutor:
+    # The class is looked up at call time so callers can wrap it.
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=context,
+        initializer=_worker_init,
+        initargs=(os.getpid(),),
+    )
+
+
+def _shutdown(pool: ProcessPoolExecutor, poisoned: bool) -> None:
+    """Join ``pool``, or kill its processes when a worker may be wedged."""
+    if not poisoned:
+        pool.shutdown(wait=True)
+        return
+    # Do not join a wedged worker.  Snapshot the process table first —
+    # the executor's management thread nulls it out during teardown.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:
+            pass
+
+
+class _PoolScope:
+    """The one worker pool that every pooled batch in a scope borrows.
+
+    The pool is created by the first pooled batch at that batch's worker
+    count and replaced only when a later batch could use more workers,
+    when a timeout poisoned it, or when a worker crash broke it.
+    """
+
+    def __init__(self, jobs: int | None) -> None:
+        self.jobs = jobs
+        self.pool: ProcessPoolExecutor | None = None
+        self.workers = 0
+
+    def borrow(
+        self, workers: int, context: multiprocessing.context.BaseContext
+    ) -> ProcessPoolExecutor:
+        if self.pool is not None and (
+            workers > self.workers or getattr(self.pool, "_broken", False)
+        ):
+            self.discard(poisoned=False)
+        if self.pool is None:
+            self.pool = _new_pool(workers, context)
+            self.workers = workers
+        return self.pool
+
+    def discard(self, poisoned: bool) -> None:
+        if self.pool is not None:
+            _shutdown(self.pool, poisoned)
+        self.pool = None
+        self.workers = 0
+
+
+_scope: ContextVar[_PoolScope | None] = ContextVar("repro_pool_scope", default=None)
+
+
+@contextmanager
+def pool_scope(jobs: int | None = None) -> Iterator[None]:
+    """Share one worker pool among every :class:`ParallelRunner` batch run
+    inside the block, and shut it down on exit.
+
+    ``jobs`` is the worker count for runners built without an explicit
+    ``jobs=``.  Workers are forked when the first pooled batch starts, so
+    they see the environment as it was then.
+    """
+    scope = _PoolScope(jobs)
+    token = _scope.set(scope)
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+        scope.discard(poisoned=False)
+
+
 def _worker_init(parent_pid: int) -> None:
     """Worker-process initializer: exit if the parent dies.
 
@@ -231,13 +327,14 @@ def _execute_job(workload: str, config: SimConfig, n_instructions: int):
     timing stats.
     """
     start = time.perf_counter()  # lint-ok: SIM002 worker timing telemetry, never touches results
-    result = _runner._load_disk(_runner.cache_key(workload, n_instructions, config))
+    key = _runner.cache_key(workload, n_instructions, config)
+    # The caller already probed (and counted the miss); load only an entry
+    # another process has stored since.
+    result = _runner._load_disk(key) if _runner._entry_path(key).exists() else None
     if result is None:
         spec = load_workload(workload, n_instructions)
         result = simulate(spec.trace, config, name=workload)
-        _runner._store_disk(
-            _runner.cache_key(workload, n_instructions, config), result
-        )
+        _runner._store_disk(key, result)
     return result, time.perf_counter() - start  # lint-ok: SIM002 timing telemetry
 
 
@@ -270,6 +367,9 @@ class ParallelRunner:
         joined, so a wedged worker cannot hang the run.  The serial
         (``jobs=1``) fallback cannot interrupt an in-process simulation
         and ignores the timeout.
+
+    Outside :func:`pool_scope` each pooled :meth:`run` starts and shuts
+    down its own pool; inside one it borrows the scope's pool.
     """
 
     def __init__(
@@ -381,10 +481,10 @@ class ParallelRunner:
     def _merge(self, state: _RunState, job: SimJob, result: SimResult) -> None:
         """Merge a freshly simulated result into both cache layers."""
         _runner._memory_cache[job.key] = result
-        # The worker already persisted it; cover the serial path and any
-        # worker whose write failed.  Atomic replace makes this re-write
-        # race-free even if another process is storing the same key.
-        if _runner._load_disk(job.key) is None:
+        # The worker already persisted it; cover any worker whose write
+        # failed.  Atomic replace makes this re-write race-free even if
+        # another process is storing the same key.
+        if not _runner._entry_path(job.key).exists():
             _runner._store_disk(job.key, result)
         self._resolve(state, job, result)
 
@@ -411,13 +511,13 @@ class ParallelRunner:
     ) -> None:
         workers = self._effective_workers(len(pending))
         timeout = self.job_timeout
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(os.getpid(),),
-        )
+        scope = _scope.get()
+        if scope is None:
+            pool = _new_pool(workers, context)
+        else:
+            pool = scope.borrow(workers, context)
         poisoned = False
+        drained = False
         try:
             # Submit at most ``workers`` jobs at a time so a dispatched
             # future starts executing immediately — that makes "time since
@@ -486,22 +586,14 @@ class ParallelRunner:
                         self._merge(state, job, result)
                     if queue:
                         submit_next()
+            drained = True
         finally:
-            if poisoned:
-                # At least one worker is presumed wedged: do not join it.
-                # Snapshot the process table first — the executor's
-                # management thread nulls it out during teardown.
-                processes = list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                )
-                pool.shutdown(wait=False, cancel_futures=True)
-                for process in processes:
-                    try:
-                        process.terminate()
-                    except Exception:
-                        pass
-            else:
-                pool.shutdown(wait=True)
+            if scope is None:
+                _shutdown(pool, poisoned)
+            elif poisoned or not drained:
+                # A wedged worker, or futures still in flight: the next
+                # batch must not inherit either.
+                scope.discard(poisoned)
 
 
 def run_jobs(

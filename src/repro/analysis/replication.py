@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.core.configs import SimConfig
 from repro.core.pipeline import simulate
@@ -35,7 +34,9 @@ class ReplicationResult:
         return float(np.std(self.speedups_pct, ddof=1)) if len(self.speedups_pct) > 1 else 0.0
 
     def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
-        """Student-t interval for the mean speedup."""
+        """Student-t interval for the mean speedup (needs scipy)."""
+        from scipy import stats as scipy_stats
+
         n = len(self.speedups_pct)
         if n < 2:
             return (self.mean, self.mean)

@@ -261,8 +261,10 @@ def run_suite(
 ) -> dict[str, SimResult]:
     """Run several workloads under one config, in parallel when possible.
 
-    ``jobs`` overrides the worker count (default: ``REPRO_SIM_JOBS`` env
-    var, falling back to ``os.cpu_count()``); ``progress`` is an optional
+    ``jobs`` overrides the worker count (default: see
+    :func:`repro.analysis.parallel.resolve_job_count`); inside
+    :func:`repro.analysis.parallel.pool_scope` the batch borrows the
+    scope's worker pool.  ``progress`` is an optional
     ``(done, total, job)`` callback.  Results are bit-identical to calling
     :func:`run_cached` serially for each workload.
     """

@@ -76,8 +76,8 @@ def run(workload: str, config: SimConfig, scale: Scale) -> SimResult:
 def run_all(config: SimConfig, scale: Scale, workloads=None) -> dict[str, SimResult]:
     """Run every workload of ``scale`` under ``config``.
 
-    Routed through the parallel execution engine (``REPRO_SIM_JOBS``
-    selects worker count), with results identical to the serial path.
+    Routed through the parallel execution engine, with results identical
+    to the serial path.
     """
     names = scale.workloads if workloads is None else workloads
     return run_suite(list(names), config, scale.n_instructions)

@@ -3,7 +3,8 @@
 :func:`run_experiment` is the canonical entry point used by the CLI and
 scripting callers; it routes every driver's simulations through the
 parallel execution engine (see :mod:`repro.analysis.parallel`) simply by
-virtue of the drivers calling :func:`repro.experiments.common.run_all`.
+virtue of the drivers calling :func:`repro.experiments.common.run_all`,
+and holds one worker pool for all of the driver's batches.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ EXPERIMENTS = {
 def run_experiment(name: str, scale=None, *, jobs: int | None = None):
     """Run one registered experiment and return ``(result, rendered_text)``.
 
-    ``scale`` defaults to QUICK; ``jobs`` (when given) pins the parallel
-    engine's worker count for the duration of the run via
-    ``REPRO_SIM_JOBS``, so every ``run_all`` inside the driver inherits it.
+    ``scale`` defaults to QUICK.  Every engine batch inside the driver
+    borrows one worker pool (:func:`repro.analysis.parallel.pool_scope`),
+    which is shut down before this returns; ``jobs`` (when given) is that
+    scope's worker count.
     """
-    import os
-
+    from repro.analysis.parallel import pool_scope
     from repro.experiments.common import QUICK
 
     if name not in EXPERIMENTS:
@@ -62,15 +63,6 @@ def run_experiment(name: str, scale=None, *, jobs: int | None = None):
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
     module = EXPERIMENTS[name]
-    previous = os.environ.get("REPRO_SIM_JOBS")
-    if jobs is not None:
-        os.environ["REPRO_SIM_JOBS"] = str(jobs)
-    try:
+    with pool_scope(jobs):
         result = module.run(QUICK if scale is None else scale)
-    finally:
-        if jobs is not None:
-            if previous is None:
-                os.environ.pop("REPRO_SIM_JOBS", None)
-            else:
-                os.environ["REPRO_SIM_JOBS"] = previous
     return result, module.render(result)

@@ -292,3 +292,163 @@ class TestJobTimeout:
         job = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
         results = engine.run([job])
         assert results[job.key].name == "fp_01"
+
+
+@pytest.fixture()
+def telemetry_on(monkeypatch):
+    from repro.observe import telemetry
+
+    monkeypatch.setenv("REPRO_SIM_TELEMETRY", "1")
+    telemetry.reset()
+    yield
+    telemetry.reset()
+
+
+class TestCacheCounters:
+    """A cold batch probes each key once: one miss, no phantom disk hit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_batch_counts_one_miss_per_job(self, fresh_cache, telemetry_on, jobs):
+        runner.run_suite(["fp_01", "int_02"], SimConfig(), N_INSTRUCTIONS, jobs=jobs)
+        stats = runner.lifetime_cache_stats()
+        assert stats["hits_disk"] == 0
+        assert stats["misses"] == 2
+        # Pool workers store (and count) in their own processes.
+        assert stats["stores"] == (2 if jobs == 1 else 0)
+        assert runner.verify_disk_cache() == {"ok": 2, "corrupt": []}
+
+
+@pytest.fixture()
+def counting_pool(monkeypatch):
+    """Swap the engine's pool class for one that logs constructions and
+    shutdowns; returns the log."""
+    import repro.analysis.parallel as parallel
+
+    log = {"created": [], "shutdowns": 0}
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log["created"].append(self)
+
+        def shutdown(self, *args, **kwargs):
+            log["shutdowns"] += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    return log
+
+
+def _register(monkeypatch, run, render=lambda result: "done"):
+    """Register a stub driver as experiment ``stub``."""
+    import types
+
+    from repro.experiments import registry
+
+    monkeypatch.setitem(
+        registry.EXPERIMENTS, "stub", types.SimpleNamespace(run=run, render=render)
+    )
+
+
+class TestPoolScope:
+    SCALE_WORKLOADS = ("fp_01", "int_02")
+
+    def _scale(self):
+        from repro.experiments.common import Scale
+
+        return Scale("test", self.SCALE_WORKLOADS, N_INSTRUCTIONS)
+
+    def test_driver_batches_share_one_pool(self, fresh_cache, counting_pool, monkeypatch):
+        import multiprocessing
+
+        from repro.experiments.common import (
+            baseline_config,
+            no_uop_config,
+            run_all,
+            ucp_config,
+        )
+        from repro.experiments.registry import run_experiment
+
+        def run(scale):
+            return [
+                run_all(config, scale)
+                for config in (no_uop_config(), baseline_config(), ucp_config())
+            ]
+
+        _register(monkeypatch, run)
+        result, _ = run_experiment("stub", self._scale(), jobs=2)
+        assert [sorted(batch) for batch in result] == [sorted(self.SCALE_WORKLOADS)] * 3
+        assert len(counting_pool["created"]) == 1
+        assert counting_pool["shutdowns"] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_replaces_the_pool(self, fresh_cache, counting_pool, monkeypatch):
+        import multiprocessing
+
+        import repro.analysis.parallel as parallel
+        from repro.experiments.registry import run_experiment
+
+        monkeypatch.setattr(
+            parallel, "_original_execute_job", parallel._execute_job,
+            raising=False,
+        )
+        monkeypatch.setattr(parallel, "_execute_job", _wedged_execute)
+        good = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
+        wedged = SimJob("int_02", SimConfig(), N_INSTRUCTIONS)
+        later = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("crypto_02", "srv_02")]
+
+        def run(scale):
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                ParallelRunner(job_timeout=1.5).run([good, wedged])
+            assert isinstance(excinfo.value.failures[0][1], JobTimeoutError)
+            first = counting_pool["created"][0]
+            return first, ParallelRunner().run(later)
+
+        _register(monkeypatch, run)
+        start = time.perf_counter()
+        (first, results), _ = run_experiment("stub", jobs=2)
+        assert time.perf_counter() - start < 30.0
+        assert set(results) == {job.key for job in later}
+        assert len(counting_pool["created"]) == 2
+        assert counting_pool["created"][1] is not first
+        assert multiprocessing.active_children() == []
+
+    def test_bare_runs_start_and_stop_their_own_pool(self, fresh_cache, counting_pool):
+        import multiprocessing
+
+        for names in (("fp_01", "int_02"), ("crypto_02", "srv_02")):
+            ParallelRunner(jobs=2).run(
+                [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in names]
+            )
+            assert multiprocessing.active_children() == []
+        assert len(counting_pool["created"]) == 2
+        assert counting_pool["shutdowns"] == 2
+
+    def test_jobs_reach_runners_without_touching_environ(self, fresh_cache, monkeypatch):
+        from repro import cli
+        from repro.experiments.registry import run_experiment
+
+        seen = []
+
+        def run(scale):
+            seen.append((dict(os.environ), ParallelRunner().jobs))
+            return None
+
+        _register(monkeypatch, run)
+        before = dict(os.environ)
+        run_experiment("stub", jobs=3)
+        assert cli.main(["experiment", "stub", "--jobs", "5"]) == 0
+        assert seen == [(before, 3), (before, 5)]
+        assert dict(os.environ) == before
+
+    def test_fig10_identical_at_one_and_two_workers(self, fresh_cache, monkeypatch):
+        from repro.experiments.common import Scale
+        from repro.experiments.registry import run_experiment
+
+        scale = Scale("test", ("fp_01", "int_02", "srv_05", "dc_interp_01"), N_INSTRUCTIONS)
+        rendered = []
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(fresh_cache / f"jobs{jobs}"))
+            runner._memory_cache.clear()
+            rendered.append(run_experiment("fig10", scale, jobs=jobs)[1])
+        assert rendered[0] == rendered[1]

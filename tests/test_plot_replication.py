@@ -92,3 +92,22 @@ class TestReplication:
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
             replicate_speedup("nope", SimConfig(), SimConfig(), n_seeds=1)
+
+    def test_scipy_stays_out_of_cold_imports(self):
+        # scipy backs only confidence_interval; the CLI, the experiment
+        # drivers and the server must not pay for it at import.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.cli, repro.experiments, repro.serve.server; "
+            "assert 'scipy' not in sys.modules, 'scipy imported'"
+        )
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
