@@ -7,7 +7,10 @@ in-memory or on-disk cache) across a :class:`concurrent.futures.
 ProcessPoolExecutor` and merges worker results back into both cache
 layers, so the parallel path is bit-identical to running
 :func:`repro.analysis.runner.run_cached` serially — same seeds, same
-stats — just faster on multi-core machines.
+stats — just faster on multi-core machines.  Cache lookups go through
+:func:`repro.analysis.runner.probe` and every job, in process or in a
+worker, runs :func:`repro.analysis.runner.job_entry`, the seam the
+experiment server's shards run too.
 
 Worker count resolution order:
 
@@ -42,7 +45,7 @@ import os
 import threading
 import time
 from collections.abc import Iterator
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -50,9 +53,8 @@ from dataclasses import dataclass, field
 from repro.analysis import runner as _runner
 from repro.common.stats import StatBlock, TimingSummary
 from repro.core.configs import SimConfig
-from repro.core.pipeline import SimResult, simulate
+from repro.core.pipeline import SimResult
 from repro.observe import telemetry
-from repro.workloads.suite import load_workload
 
 __all__ = [
     "SimJob",
@@ -232,7 +234,7 @@ def _new_pool(
     )
 
 
-def _shutdown(pool: ProcessPoolExecutor, poisoned: bool) -> None:
+def _shutdown(pool: Executor, poisoned: bool) -> None:
     """Join ``pool``, or kill its processes when a worker may be wedged."""
     if not poisoned:
         pool.shutdown(wait=True)
@@ -318,26 +320,6 @@ def _worker_init(parent_pid: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _execute_job(workload: str, config: SimConfig, n_instructions: int):
-    """Worker entry point: simulate one job and persist it to disk.
-
-    Runs in the worker process.  The worker writes the entry itself
-    (atomically) so completed work survives even if the parent dies before
-    merging, and returns ``(result, seconds)`` for the parent's caches and
-    timing stats.
-    """
-    start = time.perf_counter()  # lint-ok: SIM002 worker timing telemetry, never touches results
-    key = _runner.cache_key(workload, n_instructions, config)
-    # The caller already probed (and counted the miss); load only an entry
-    # another process has stored since.
-    result = _runner._load_disk(key) if _runner._entry_path(key).exists() else None
-    if result is None:
-        spec = load_workload(workload, n_instructions)
-        result = simulate(spec.trace, config, name=workload)
-        _runner._store_disk(key, result)
-    return result, time.perf_counter() - start  # lint-ok: SIM002 timing telemetry
-
-
 @dataclass
 class _RunState:
     """Mutable bookkeeping for one :meth:`ParallelRunner.run` call."""
@@ -411,18 +393,12 @@ class ParallelRunner:
             state = _RunState(total=len(unique))
             pending: list[SimJob] = []
             for key, job in unique.items():
-                cached = _runner._memory_cache.get(key)
-                if cached is not None:
-                    self.stats.counters.add("jobs_from_memory")
+                cached, tier = _runner.probe(key)
+                if cached is None:
+                    pending.append(job)
+                else:
+                    self.stats.counters.add(f"jobs_from_{tier}")
                     self._resolve(state, job, cached)
-                    continue
-                cached = _runner._load_disk(key)
-                if cached is not None:
-                    self.stats.counters.add("jobs_from_disk")
-                    _runner._memory_cache[key] = cached
-                    self._resolve(state, job, cached)
-                    continue
-                pending.append(job)
 
             if pending:
                 context = _pool_context()
@@ -478,30 +454,29 @@ class ParallelRunner:
         if self.progress is not None:
             self.progress(state.done, state.total, job)
 
-    def _merge(self, state: _RunState, job: SimJob, result: SimResult) -> None:
-        """Merge a freshly simulated result into both cache layers."""
+    def _merge(self, state: _RunState, job: SimJob, output: _runner.JobOutput) -> None:
+        """Account for one finished job and merge its result into memory
+        (the job body has already stored it on disk)."""
+        result, seconds, _taxonomy, spans = output
+        self.stats.counters.add("jobs_simulated")
+        self.stats.timings.append(JobTiming(job, seconds))
+        _runner.record_spans(spans)
         _runner._memory_cache[job.key] = result
-        # The worker already persisted it; cover any worker whose write
-        # failed.  Atomic replace makes this re-write race-free even if
-        # another process is storing the same key.
-        if not _runner._entry_path(job.key).exists():
-            _runner._store_disk(job.key, result)
         self._resolve(state, job, result)
+
+    def _fail(self, state: _RunState, job: SimJob, error: BaseException) -> None:
+        self.stats.counters.add("jobs_failed")
+        state.failures.append((job, error))
 
     def _run_serial(self, state: _RunState, pending: list[SimJob]) -> None:
         """In-process fallback: identical semantics, no pool overhead."""
         for job in pending:
             try:
-                result, seconds = _execute_job(
-                    job.workload, job.config, job.n_instructions
-                )
+                output = _runner.job_entry(job.workload, job.config, job.n_instructions)
             except Exception as error:
-                self.stats.counters.add("jobs_failed")
-                state.failures.append((job, error))
-                continue
-            self.stats.counters.add("jobs_simulated")
-            self.stats.timings.append(JobTiming(job, seconds))
-            self._merge(state, job, result)
+                self._fail(state, job, error)
+            else:
+                self._merge(state, job, output)
 
     def _run_pool(
         self,
@@ -531,7 +506,7 @@ class ParallelRunner:
             def submit_next() -> None:
                 job = queue.pop()
                 future = pool.submit(
-                    _execute_job, job.workload, job.config, job.n_instructions
+                    _runner.job_entry, job.workload, job.config, job.n_instructions
                 )
                 futures[future] = job
                 outstanding[future] = None
@@ -566,9 +541,8 @@ class ParallelRunner:
                         outstanding.pop(future, None)
                         poisoned = True
                         job = futures[future]
-                        self.stats.counters.add("jobs_failed")
                         self.stats.counters.add("jobs_timed_out")
-                        state.failures.append((job, JobTimeoutError(job, timeout)))
+                        self._fail(state, job, JobTimeoutError(job, timeout))
                         if queue:
                             submit_next()
                 for future in sorted(completed, key=lambda f: futures[f].key):
@@ -576,14 +550,11 @@ class ParallelRunner:
                     deadlines.pop(future, None)
                     job = futures[future]
                     try:
-                        result, seconds = future.result()
+                        output = future.result()
                     except Exception as error:
-                        self.stats.counters.add("jobs_failed")
-                        state.failures.append((job, error))
+                        self._fail(state, job, error)
                     else:
-                        self.stats.counters.add("jobs_simulated")
-                        self.stats.timings.append(JobTiming(job, seconds))
-                        self._merge(state, job, result)
+                        self._merge(state, job, output)
                     if queue:
                         submit_next()
             drained = True

@@ -1,4 +1,4 @@
-"""Cached simulation execution.
+"""Cached simulation execution: the one cache probe and the one job body.
 
 Experiments across different figures share many (workload, config) pairs —
 every figure needs the baseline, several need the no-µ-op-cache and ideal
@@ -7,6 +7,18 @@ configurations.  ``run_cached`` memoises results in-process and, unless
 ``REPRO_SIM_CACHE_DIR``) so repeated benchmark invocations skip simulation
 entirely.  ``run_suite`` routes batches of workloads through the parallel
 execution engine in :mod:`repro.analysis.parallel`.
+
+Every path to a result goes through the same two functions here:
+
+* :func:`probe` — the memory → disk lookup used by ``run_cached``,
+  ``ParallelRunner.run`` and ``Scheduler.submit``.  It counts one hit per
+  tier or one miss, so ``repro cache stats`` reports the same rates for
+  the same traffic whichever path served it.
+* :func:`run_job` — the job body for a miss: load (only an entry another
+  process stored since the probe), or load the workload, simulate and
+  store.  ``run_cached`` calls it directly; the two engines run it
+  through the :func:`job_entry` seam, which tests and fault injectors
+  patch.
 
 The on-disk format is hardened against interrupted runs:
 
@@ -31,11 +43,14 @@ import os
 import pickle
 import tempfile
 import threading
+import time
 from pathlib import Path
+from typing import Any
 
 from repro.core.configs import SimConfig
-from repro.core.pipeline import SimResult, simulate
+from repro.core.pipeline import SimResult, Simulator, simulate
 from repro.observe import telemetry
+from repro.observe.telemetry import SpanContext, SpanSink
 from repro.workloads.suite import load_workload
 
 #: Bump to invalidate previously cached simulation results.  v5 introduced
@@ -119,41 +134,29 @@ def _decode_entry(key: str, raw: bytes) -> SimResult:
 
 
 def _load_disk(key: str) -> SimResult | None:
-    """Load a verified entry from disk; quarantine anything suspect."""
+    """Load a verified entry from disk; drop anything suspect.
+
+    Hits and misses are counted by :func:`probe`, so a job body that
+    re-opens an entry after the probe does not count it twice.
+    """
     if not _disk_enabled():
         return None
-    tel = telemetry.maybe()
     path = _entry_path(key)
     if not path.exists():
-        if tel is not None:
-            tel.counter(
-                "repro_cache_misses_total",
-                "Disk-cache probes that found no usable entry.",
-            ).inc()
         return None
     try:
-        result = _decode_entry(key, path.read_bytes())
+        return _decode_entry(key, path.read_bytes())
     except Exception:
         # Truncated, stale-format, or bit-rotted — drop it and re-simulate.
         path.unlink(missing_ok=True)
+        tel = telemetry.maybe()
         if tel is not None:
             tel.counter(
                 "repro_cache_corrupt_dropped_total",
                 "Disk-cache entries discarded for failing the envelope "
                 "check (version, key, or checksum).",
             ).inc()
-            tel.counter(
-                "repro_cache_misses_total",
-                "Disk-cache probes that found no usable entry.",
-            ).inc()
         return None
-    if tel is not None:
-        tel.counter(
-            "repro_cache_hits_total",
-            "Result-cache hits by tier.",
-            labels=("tier",),
-        ).inc(tier="disk")
-    return result
 
 
 def _store_disk(key: str, result: SimResult) -> None:
@@ -199,30 +202,149 @@ def _store_disk(key: str, result: SimResult) -> None:
             ).inc()
 
 
+def probe(key: str) -> tuple[SimResult | None, str]:
+    """Look ``key`` up in memory, then on disk: ``(result, tier)``.
+
+    Counts one ``repro_cache_hits_total`` for the tier that answered
+    (``"memory"`` or ``"disk"``) or one ``repro_cache_misses_total``, and
+    promotes a disk hit into memory.  A miss returns ``(None, "")``.  An
+    exception from the disk tier propagates; the server turns it into a
+    ``cache-corrupt`` error.
+    """
+    tier = "memory"
+    result = _memory_cache.get(key)
+    if result is None:
+        tier = "disk"
+        result = _load_disk(key)
+        if result is not None:
+            _memory_cache[key] = result
+    tel = telemetry.maybe()
+    if tel is not None:
+        if result is None:
+            tel.counter(
+                "repro_cache_misses_total",
+                "Cache probes that found no usable entry.",
+            ).inc()
+        else:
+            tel.counter(
+                "repro_cache_hits_total",
+                "Result-cache hits by tier.",
+                labels=("tier",),
+            ).inc(tier=tier)
+    return result, (tier if result is not None else "")
+
+
+#: What :func:`run_job` returns: ``(result, seconds, taxonomy, spans)``.
+JobOutput = tuple[SimResult, float, dict[str, Any] | None, list[dict[str, Any]]]
+
+
+def run_job(
+    workload: str,
+    config: SimConfig,
+    n_instructions: int,
+    observe: bool = False,
+    trace_wire: dict[str, Any] | None = None,
+) -> JobOutput:
+    """The job body: produce one result the caches missed, and store it.
+
+    The caller has already probed (and counted) the caches, so an entry
+    is opened only if another process stored it since.  Otherwise the
+    workload is loaded and simulated — with the observer armed only when
+    ``observe`` is set, for the stall taxonomy a served stream carries —
+    and the result is stored atomically, so work done in a pool worker
+    survives a parent that dies before merging it.
+
+    Returns ``(result, seconds, taxonomy, spans)``: the job's wall
+    seconds, the taxonomy (None unless observed and simulated), and, with
+    ``REPRO_SIM_TELEMETRY`` on, the ``worker.job`` / ``runner.simulate``
+    spans as plain dicts under ``trace_wire`` (a
+    :meth:`SpanContext.as_wire` dict; None starts a new trace).  The spans
+    are built in a job-local sink, so no telemetry object crosses a
+    pickle boundary and a thread-mode shard cannot record them twice; the
+    caller records them with :func:`record_spans`.
+    """
+    start = time.perf_counter()  # lint-ok: SIM002 job timing telemetry, never touches results
+    sink = SpanSink() if telemetry.telemetry_enabled() else None
+    job_span = (
+        sink.start_span(
+            "worker.job",
+            parent=SpanContext.from_wire(trace_wire),
+            attrs={"workload": workload, "pid": os.getpid()},
+        )
+        if sink is not None
+        else None
+    )
+    key = cache_key(workload, n_instructions, config)
+    result = _load_disk(key)
+    taxonomy: dict[str, Any] | None = None
+    source = "disk"
+    if result is None:
+        source = "simulated"
+        sim_span = (
+            sink.start_span("runner.simulate", parent=job_span.context)
+            if sink is not None and job_span is not None
+            else None
+        )
+        spec = load_workload(workload, n_instructions)
+        if observe:
+            sim = Simulator(spec.trace, config, name=workload, observe=True)
+            result = sim.run()
+            if sim.observer is not None:
+                taxonomy = sim.observer.taxonomy.as_dict()
+        else:
+            result = simulate(spec.trace, config, name=workload)
+        _store_disk(key, result)
+        if sink is not None and sim_span is not None:
+            sink.finish(sim_span, instructions=result.instructions)
+    spans: list[dict[str, Any]] = []
+    if sink is not None and job_span is not None:
+        sink.finish(job_span, source=source)
+        spans = [span.to_dict() for span in sink.drain()]
+    return result, time.perf_counter() - start, taxonomy, spans  # lint-ok: SIM002 timing telemetry
+
+
+def job_entry(
+    workload: str,
+    config: SimConfig,
+    n_instructions: int,
+    observe: bool = False,
+    trace_wire: dict[str, Any] | None = None,
+) -> JobOutput:
+    """The worker seam: what ``ParallelRunner`` and the scheduler's shards
+    run for each job, in process or in a pool worker.
+
+    Both engines look it up on this module when they dispatch, and a
+    process pool pickles it by name, so a test double or fault injector
+    patched over it reaches serial runs, thread shards and pool workers
+    alike (a double sent to a process pool must be a module-level
+    function).  Doubles call :func:`run_job` for the real work.
+    """
+    return run_job(workload, config, n_instructions, observe, trace_wire)
+
+
+def record_spans(spans: list[dict[str, Any]]) -> None:
+    """Re-record span dicts a job returned into this process's sink."""
+    sink = telemetry.maybe_spans()
+    if sink is not None:
+        for span in spans:
+            sink.record(span)
+
+
 def run_cached(workload: str, config: SimConfig, n_instructions: int = 40_000) -> SimResult:
     """Simulate ``workload`` under ``config``, reusing cached results.
 
     Thread-safe and single-flight: if another thread is already simulating
     the same key, this call waits for it instead of duplicating the work.
+    Each call counts one cache probe.
     """
     key = cache_key(workload, n_instructions, config)
-    while True:
-        result = _memory_cache.get(key)
-        if result is not None:
-            tel = telemetry.maybe()
-            if tel is not None:
-                tel.counter(
-                    "repro_cache_hits_total",
-                    "Result-cache hits by tier.",
-                    labels=("tier",),
-                ).inc(tier="memory")
-            return result
-
+    result = probe(key)[0]
+    while result is None:
         with _inflight_lock:
             # Re-check under the lock — a racer may have just finished.
             result = _memory_cache.get(key)
             if result is not None:
-                return result
+                break
             pending = _inflight.get(key)
             if pending is None:
                 _inflight[key] = threading.Event()
@@ -235,13 +357,13 @@ def run_cached(workload: str, config: SimConfig, n_instructions: int = 40_000) -
                 "simulation instead of duplicating it.",
             ).inc()
         pending.wait()
+        result = _memory_cache.get(key)
+    if result is not None:
+        return result
 
     try:
-        result = _load_disk(key)
-        if result is None:
-            spec = load_workload(workload, n_instructions)
-            result = simulate(spec.trace, config, name=workload)
-            _store_disk(key, result)
+        result, _seconds, _taxonomy, spans = run_job(workload, config, n_instructions)
+        record_spans(spans)
         _memory_cache[key] = result
         return result
     finally:

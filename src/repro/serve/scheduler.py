@@ -10,7 +10,9 @@ shard while the others keep serving.  Per shard, queued flights drain in
 cache key: while a flight for a key is queued or running, later submits
 join it (refcounted) instead of spawning duplicate work — the service
 extension of ``run_cached``'s in-process single-flight.  Cache hits
-(memory, then disk) resolve in ``submit`` itself and never touch a pool.
+resolve in ``submit`` itself, through the same
+:func:`repro.analysis.runner.probe` as the CLI paths, and never touch a
+pool.
 
 **Failure containment.**  A worker that dies mid-job (``BrokenExecutor``)
 gets its shard restarted and the job retried with exponential backoff;
@@ -26,9 +28,12 @@ Releasing the last reference cancels the flight: a queued flight is
 dropped before dispatch (lazy heap deletion); a running one has its
 worker killed via shard restart, leaving the shard schedulable.
 
-The worker entry point is the module-level :func:`_run_job_entry`
-trampoline resolving :data:`_JOB_ENTRY` at call time — fault-injection
-tests repoint ``_JOB_ENTRY`` and fork-started workers inherit the patch.
+**One job body.**  A shard runs :func:`repro.analysis.runner.job_entry`
+— the seam ``ParallelRunner`` runs too, looked up when the job is
+submitted — with the observer armed, so served results are the CLI's
+results and the cache entries are shared.  Test doubles and the service
+fault injectors patch that one seam.  Process shards are built and torn
+down by the engine's own pool helpers.
 """
 
 from __future__ import annotations
@@ -38,13 +43,7 @@ import heapq
 import itertools
 import os
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -52,18 +51,17 @@ from typing import Any
 from repro.analysis import runner as _runner
 from repro.analysis.parallel import (
     SimJob,
+    _new_pool,
     _pool_context,
-    _worker_init,
+    _shutdown,
     resolve_job_timeout,
 )
 from repro.common.stats import StatBlock
-from repro.core.configs import SimConfig
-from repro.core.pipeline import SimResult, Simulator
+from repro.core.pipeline import SimResult
 from repro.observe import telemetry
-from repro.observe.telemetry import Span, SpanContext, SpanSink
+from repro.observe.telemetry import Span, SpanContext
 from repro.serve import eviction
 from repro.serve.protocol import ServeError
-from repro.workloads.suite import load_workload
 
 __all__ = [
     "Flight",
@@ -81,103 +79,6 @@ def _default_shards() -> int:
         except ValueError:
             pass
     return max(2, min(4, (os.cpu_count() or 2) // 2))
-
-
-def _default_job_entry(
-    workload: str,
-    config: SimConfig,
-    n_instructions: int,
-    trace_wire: dict[str, Any] | None = None,
-) -> tuple[SimResult, float, dict[str, Any] | None, list[dict[str, Any]]]:
-    """Worker-side job body: simulate (observing) and persist to disk.
-
-    Mirrors ``repro.analysis.parallel._execute_job`` — same cache key,
-    same atomic store, so served results are interchangeable with CLI
-    runs — but runs the simulator with the observer on so the stall
-    taxonomy can be streamed back.  Observation is bit-identical to the
-    unobserved run, so the cached entry is too.
-
-    ``trace_wire`` is the scheduler span's :meth:`SpanContext.as_wire`
-    dict.  With ``REPRO_SIM_TELEMETRY`` on (workers inherit the env) the
-    worker opens ``worker.job`` / ``runner.simulate`` child spans and
-    ships them back as plain dicts in the fourth tuple slot — telemetry
-    objects never cross the pickle boundary, and the spans are built in
-    a job-local sink so thread-mode shards cannot double-record.
-    """
-    start = time.perf_counter()  # lint-ok: SIM002 worker timing telemetry, never touches results
-    sink: SpanSink | None = None
-    job_span: Span | None = None
-    if telemetry.telemetry_enabled():
-        sink = SpanSink()
-    if sink is not None:
-        job_span = sink.start_span(
-            "worker.job",
-            parent=SpanContext.from_wire(trace_wire),
-            attrs={"workload": workload, "pid": os.getpid()},
-        )
-    key = _runner.cache_key(workload, n_instructions, config)
-    result = _runner._load_disk(key)
-    taxonomy: dict[str, Any] | None = None
-    source = "disk"
-    if result is None:
-        source = "simulated"
-        sim_span = (
-            sink.start_span("runner.simulate", parent=job_span.context)
-            if sink is not None and job_span is not None
-            else None
-        )
-        spec = load_workload(workload, n_instructions)
-        sim = Simulator(spec.trace, config, name=workload, observe=True)
-        result = sim.run()
-        if sim.observer is not None:
-            taxonomy = sim.observer.taxonomy.as_dict()
-        _runner._store_disk(key, result)
-        if sink is not None and sim_span is not None:
-            sink.finish(sim_span, instructions=result.instructions)
-    spans: list[dict[str, Any]] = []
-    if sink is not None and job_span is not None:
-        sink.finish(job_span, source=source)
-        spans = [span.to_dict() for span in sink.drain()]
-    return result, time.perf_counter() - start, taxonomy, spans  # lint-ok: SIM002 timing telemetry
-
-
-#: The active worker job body.  Fault-injection tests repoint this;
-#: fork-started pool workers inherit the patch.
-_JOB_ENTRY = _default_job_entry
-
-
-def _run_job_entry(
-    workload: str,
-    config: SimConfig,
-    n_instructions: int,
-    trace_wire: dict[str, Any] | None = None,
-) -> tuple[Any, ...]:
-    """Picklable trampoline: resolves :data:`_JOB_ENTRY` in the worker.
-
-    Patched entries (fault injectors, test doubles) keep the historical
-    3-argument contract and return a 3-tuple; only the default entry
-    receives the trace context and appends the span slot.  The caller
-    unpacks both shapes.
-    """
-    entry = _JOB_ENTRY
-    if entry is _default_job_entry:
-        return entry(workload, config, n_instructions, trace_wire)
-    return entry(workload, config, n_instructions)
-
-
-def _terminate_pool(pool: Executor) -> None:
-    """Tear a pool down without joining its (possibly wedged) workers.
-
-    ``_processes`` is snapshotted *before* shutdown — the executor's
-    management thread nulls it out during teardown.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
 
 
 @dataclass(frozen=True)
@@ -254,20 +155,10 @@ class WorkerShard:
 
     def pool(self) -> Executor:
         if self._pool is None:
-            if self.mode == "process":
-                context = _pool_context()
-                if context is None:  # no usable start method on this platform
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix=f"repro-shard-{self.index}"
-                    )
-                else:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=context,
-                        initializer=_worker_init,
-                        initargs=(os.getpid(),),
-                    )
-            else:
+            context = _pool_context() if self.mode == "process" else None
+            if context is not None:
+                self._pool = _new_pool(1, context)
+            else:  # thread mode, or no usable start method on this platform
                 self._pool = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix=f"repro-shard-{self.index}"
                 )
@@ -275,23 +166,25 @@ class WorkerShard:
 
     def submit(
         self, job: SimJob, trace_wire: dict[str, Any] | None = None
-    ) -> Future[tuple[Any, ...]]:
+    ) -> Future[_runner.JobOutput]:
         return self.pool().submit(
-            _run_job_entry, job.workload, job.config, job.n_instructions, trace_wire
+            _runner.job_entry,
+            job.workload,
+            job.config,
+            job.n_instructions,
+            True,  # observe: served streams carry the stall taxonomy
+            trace_wire,
         )
 
     def restart(self) -> None:
         """Kill this shard's worker (it may be wedged) and start fresh."""
-        pool, self._pool = self._pool, None
         self.restarts += 1
-        if pool is None:
-            return
-        _terminate_pool(pool)
+        self.close()
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
-            _terminate_pool(pool)
+            _shutdown(pool, poisoned=True)
 
 
 @dataclass
@@ -540,11 +433,8 @@ class Scheduler:
     # -- internals ----------------------------------------------------------
 
     def _probe_cache(self, job: SimJob) -> tuple[SimResult | None, str]:
-        result = _runner._memory_cache.get(job.key)
-        if result is not None:
-            return result, "memory"
         try:
-            result = _runner._load_disk(job.key)
+            return _runner.probe(job.key)
         except Exception as error:
             self.counters.add("cache_errors")
             raise ServeError(
@@ -552,10 +442,6 @@ class Scheduler:
                 f"cache read for {job.describe()} failed: "
                 f"{type(error).__name__}: {error}",
             ) from error
-        if result is not None:
-            _runner._memory_cache[job.key] = result
-            return result, "disk"
-        return None, ""
 
     def _enqueue(self, flight: Flight) -> None:
         shard = self.shard_for(flight.key)
@@ -694,13 +580,9 @@ class Scheduler:
             pool_future = shard.submit(job, trace_wire)
             self.counters.add("pool_dispatches")
             try:
-                payload = await asyncio.wait_for(
+                result, seconds, taxonomy, worker_spans = await asyncio.wait_for(
                     asyncio.wrap_future(pool_future), timeout
                 )
-                # Patched 3-tuple entries carry no span slot (see
-                # _run_job_entry); tolerate both shapes.
-                result, seconds, taxonomy = payload[0], payload[1], payload[2]
-                worker_spans = payload[3] if len(payload) > 3 else []
             except asyncio.TimeoutError:
                 pool_future.cancel()
                 shard.restart()  # the worker is presumed wedged
@@ -744,10 +626,7 @@ class Scheduler:
                 ) from error
             else:
                 _runner._memory_cache[job.key] = result
-                sink = telemetry.maybe_spans()
-                if sink is not None:
-                    for span_dict in worker_spans:
-                        sink.record(span_dict)
+                _runner.record_spans(worker_spans)
                 return FlightResult(
                     result=result,
                     cached=False,

@@ -3,9 +3,11 @@
 The PR 2 registry (:mod:`repro.verify.faults`) proves the *simulator*
 catches model bugs; this registry proves the *service* layer
 (:mod:`repro.serve`) contains operational failures.  Each
-:class:`ServiceFault` patches one seam — the worker job entry, the cache
-read path — then the harness runs a real server with two concurrent
-client requests:
+:class:`ServiceFault` patches one seam — the worker job entry
+(:func:`repro.analysis.runner.job_entry`, which a process shard receives
+by name, so its doubles are module-level functions) or the cache read
+path — then the harness runs a real server with two concurrent client
+requests:
 
 * the **victim** request exercises the fault and must fail *cleanly*
   with the expected typed protocol error code;
@@ -99,16 +101,15 @@ def _register(fault: ServiceFault) -> ServiceFault:
 # ----------------------------------------------------------------------
 
 
+def _killed_entry(workload: str, config: SimConfig, n_instructions: int, *args):
+    if workload == VICTIM_WORKLOAD:
+        os._exit(17)  # hard death: no exception, no cleanup
+    return _runner.run_job(workload, config, n_instructions, *args)
+
+
 def _inject_worker_killed():
     """The worker process dies (as if OOM-killed) mid-victim-job."""
-    from repro.serve import scheduler as _scheduler
-
-    def entry(workload: str, config: SimConfig, n_instructions: int):
-        if workload == VICTIM_WORKLOAD:
-            os._exit(17)  # hard death: no exception, no cleanup
-        return _scheduler._default_job_entry(workload, config, n_instructions)
-
-    return _patched_attr(_scheduler, "_JOB_ENTRY", entry)
+    return _patched_attr(_runner, "job_entry", _killed_entry)
 
 
 _register(
@@ -152,17 +153,16 @@ _register(
 )
 
 
+def _slow_entry(workload: str, config: SimConfig, n_instructions: int, *args):
+    if workload == VICTIM_WORKLOAD:
+        time.sleep(60.0)  # far past the request timeout; killed early
+    return _runner.run_job(workload, config, n_instructions, *args)
+
+
 def _inject_slow_worker():
     """The victim's worker wedges (infinite loop semantics): the job must
     time out, the worker be killed, and the shard keep scheduling."""
-    from repro.serve import scheduler as _scheduler
-
-    def entry(workload: str, config: SimConfig, n_instructions: int):
-        if workload == VICTIM_WORKLOAD:
-            time.sleep(60.0)  # far past the request timeout; killed early
-        return _scheduler._default_job_entry(workload, config, n_instructions)
-
-    return _patched_attr(_scheduler, "_JOB_ENTRY", entry)
+    return _patched_attr(_runner, "job_entry", _slow_entry)
 
 
 _register(

@@ -191,8 +191,8 @@ class TestOrderingArgument:
                     indirect.update(prediction, target)
 
     def test_served_job_simulates_through_the_stream(self, cache_dir, monkeypatch):
+        from repro.analysis import runner
         from repro.frontend import bpu as bpu_module
-        from repro.serve import scheduler
 
         streams = []
         real_get_stream = bpu_module.get_stream
@@ -204,8 +204,8 @@ class TestOrderingArgument:
 
         monkeypatch.setattr(bpu_module, "get_stream", recording_get_stream)
         config = SimConfig()
-        result, _seconds, taxonomy, _spans = scheduler._default_job_entry(
-            "fp_01", config, 1_500
+        result, _seconds, taxonomy, _spans = runner.job_entry(
+            "fp_01", config, 1_500, observe=True
         )
         assert taxonomy is not None  # the observer was armed
         assert [name for name, _ in streams] == [result.name]

@@ -227,14 +227,12 @@ class TestRunJobsHelper:
         assert results[job.key].name == "fp_01"
 
 
-def _wedged_execute(workload, config, n_instructions):
-    """Module-level (picklable) stand-in for ``_execute_job`` that wedges
-    on one workload — pool workers resolve it by qualified name."""
-    import repro.analysis.parallel as parallel
-
+def _wedged_execute(workload, config, n_instructions, *args):
+    """Module-level (picklable) stand-in for ``runner.job_entry`` that
+    wedges on one workload — pool workers resolve it by qualified name."""
     if workload == "int_02":
         time.sleep(60.0)  # far past the test timeout; the pool is killed
-    return parallel._original_execute_job(workload, config, n_instructions)
+    return runner.run_job(workload, config, n_instructions, *args)
 
 
 class TestJobTimeout:
@@ -255,13 +253,7 @@ class TestJobTimeout:
         assert ParallelRunner(jobs=2, job_timeout=1.0).job_timeout == 1.0
 
     def test_wedged_job_fails_cleanly(self, fresh_cache, monkeypatch):
-        import repro.analysis.parallel as parallel
-
-        monkeypatch.setattr(
-            parallel, "_original_execute_job", parallel._execute_job,
-            raising=False,
-        )
-        monkeypatch.setattr(parallel, "_execute_job", _wedged_execute)
+        monkeypatch.setattr(runner, "job_entry", _wedged_execute)
         engine = ParallelRunner(jobs=2, job_timeout=1.5)
         good = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
         wedged = SimJob("int_02", SimConfig(), N_INSTRUCTIONS)
@@ -385,14 +377,9 @@ class TestPoolScope:
     def test_timeout_replaces_the_pool(self, fresh_cache, counting_pool, monkeypatch):
         import multiprocessing
 
-        import repro.analysis.parallel as parallel
         from repro.experiments.registry import run_experiment
 
-        monkeypatch.setattr(
-            parallel, "_original_execute_job", parallel._execute_job,
-            raising=False,
-        )
-        monkeypatch.setattr(parallel, "_execute_job", _wedged_execute)
+        monkeypatch.setattr(runner, "job_entry", _wedged_execute)
         good = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
         wedged = SimJob("int_02", SimConfig(), N_INSTRUCTIONS)
         later = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("crypto_02", "srv_02")]

@@ -21,7 +21,6 @@ from collections import Counter
 import pytest
 
 import repro.analysis.runner as runner
-import repro.serve.scheduler as scheduler_mod
 from repro.core import SimConfig
 from repro.serve.client import RunReply, ServeClient, ServeRequestError
 from repro.serve.protocol import (
@@ -57,14 +56,13 @@ def run_counter(monkeypatch):
     """Count every actual job execution, keyed by cache key."""
     calls: Counter[str] = Counter()
     lock = threading.Lock()
-    real = scheduler_mod._default_job_entry
 
-    def counting(workload, config, n_instructions):
+    def counting(workload, config, n_instructions, *args):
         with lock:
             calls[runner.cache_key(workload, n_instructions, config)] += 1
-        return real(workload, config, n_instructions)
+        return runner.run_job(workload, config, n_instructions, *args)
 
-    monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", counting)
+    monkeypatch.setattr(runner, "job_entry", counting)
     return calls
 
 
@@ -221,14 +219,13 @@ class TestExactlyOnce:
 class TestCancellation:
     def test_cancel_mid_run_leaves_pool_schedulable(self, fresh_cache, monkeypatch):
         release = threading.Event()
-        real = scheduler_mod._default_job_entry
 
-        def blocking(workload, config, n_instructions):
+        def blocking(workload, config, n_instructions, *args):
             if workload == "srv_02":
                 release.wait(30.0)
-            return real(workload, config, n_instructions)
+            return runner.run_job(workload, config, n_instructions, *args)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", blocking)
+        monkeypatch.setattr(runner, "job_entry", blocking)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -266,14 +263,14 @@ class TestCancellation:
         self, fresh_cache, run_counter, monkeypatch
     ):
         release = threading.Event()
-        counted = scheduler_mod._JOB_ENTRY  # the run_counter wrapper
+        counted = runner.job_entry  # the run_counter wrapper
 
-        def blocking(workload, config, n_instructions):
+        def blocking(workload, config, n_instructions, *args):
             if workload == "srv_02":
                 release.wait(30.0)
-            return counted(workload, config, n_instructions)
+            return counted(workload, config, n_instructions, *args)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", blocking)
+        monkeypatch.setattr(runner, "job_entry", blocking)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -310,16 +307,15 @@ class TestPriority:
         release = threading.Event()
         order: list[str] = []
         lock = threading.Lock()
-        real = scheduler_mod._default_job_entry
 
-        def recording(workload, config, n_instructions):
+        def recording(workload, config, n_instructions, *args):
             with lock:
                 order.append(workload)
             if workload == "srv_02":
                 release.wait(30.0)
-            return real(workload, config, n_instructions)
+            return runner.run_job(workload, config, n_instructions, *args)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", recording)
+        monkeypatch.setattr(runner, "job_entry", recording)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -431,13 +427,12 @@ class TestTypedErrors:
 
     def test_overloaded_when_queue_bound_hit(self, fresh_cache, monkeypatch):
         release = threading.Event()
-        real = scheduler_mod._default_job_entry
 
-        def blocking(workload, config, n_instructions):
+        def blocking(workload, config, n_instructions, *args):
             release.wait(30.0)
-            return real(workload, config, n_instructions)
+            return runner.run_job(workload, config, n_instructions, *args)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", blocking)
+        monkeypatch.setattr(runner, "job_entry", blocking)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -474,3 +469,48 @@ class TestControlPlane:
         assert pong["type"] == "pong" and pong["protocol"] == 2
         assert status["scheduler"]["mode"] == "thread"
         assert status["cache"]["cache_version"] == runner.CACHE_VERSION
+
+
+class TestOneJobBody:
+    def test_run_cached_engine_and_scheduler_agree(self, fresh_cache, monkeypatch):
+        from repro.analysis.parallel import ParallelRunner, SimJob
+        from repro.serve.scheduler import Scheduler
+
+        job = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
+        outputs = []
+        real = runner.run_job
+
+        def recording(*args):
+            output = real(*args)
+            outputs.append(output)
+            return output
+
+        # In-process bodies are recorded here; the process shard's body
+        # runs in its own worker and reports through the flight.
+        monkeypatch.setattr(runner, "run_job", recording)
+
+        def on_fresh_cache(name):
+            monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(fresh_cache / name))
+            runner._memory_cache.clear()
+
+        async def serve():
+            scheduler = Scheduler(shards=1, mode="process")
+            await scheduler.start()
+            try:
+                return await scheduler.submit(job).wait()
+            finally:
+                await scheduler.close()
+
+        on_fresh_cache("run_cached")
+        cached = runner.run_cached(job.workload, job.config, job.n_instructions)
+        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        on_fresh_cache("engine")
+        engine = ParallelRunner(jobs=2).run([job])[job.key]
+        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        on_fresh_cache("served")
+        served = run_async(serve())
+        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+
+        assert cached.to_dict() == engine.to_dict() == served.result.to_dict()
+        assert served.source == "simulated" and served.taxonomy is not None
+        assert [taxonomy for _result, _seconds, taxonomy, _spans in outputs] == [None, None]

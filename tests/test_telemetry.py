@@ -30,7 +30,6 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 import repro.analysis.runner as runner
-import repro.serve.scheduler as scheduler_mod
 from repro.cli import main
 from repro.core import SimConfig
 from repro.core.pipeline import Simulator
@@ -443,6 +442,46 @@ class TestBitIdentity:
         on = self._run(False, "1", monkeypatch)
         assert off == on
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda names: {
+                name: runner.run_cached(name, SimConfig(), N_INSTRUCTIONS)
+                for name in names
+            },
+            lambda names: runner.run_suite(names, SimConfig(), N_INSTRUCTIONS, jobs=1),
+            lambda names: runner.run_suite(names, SimConfig(), N_INSTRUCTIONS, jobs=2),
+        ],
+        ids=["run_cached", "run_suite_in_process", "run_suite_pool"],
+    )
+    def test_cli_results_identical_on_vs_off(self, tmp_path, run):
+        # CLI paths, in process and in pool workers: on records each job's
+        # worker spans, off records nothing.
+        workloads = ["fp_01", "int_02"]
+        runs = {}
+        for override in (None, "1"):
+            with pytest.MonkeyPatch.context() as mp:
+                if override is None:
+                    mp.delenv("REPRO_SIM_TELEMETRY", raising=False)
+                else:
+                    mp.setenv("REPRO_SIM_TELEMETRY", override)
+                mp.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / str(override)))
+                telemetry.reset()
+                runner._memory_cache.clear()
+                try:
+                    results = run(workloads)
+                    names = [span.name for span in telemetry.spans().spans()]
+                    runs[override] = (
+                        {name: result.to_dict() for name, result in results.items()},
+                        sorted(names),
+                    )
+                finally:
+                    telemetry.reset()
+                    runner._memory_cache.clear()
+        assert runs[None][0] == runs["1"][0]
+        assert runs[None][1] == []
+        assert runs["1"][1] == ["runner.simulate"] * 2 + ["worker.job"] * 2
+
 
 # ---------------------------------------------------------------------------
 # service acceptance: connected span tree through a served job
@@ -506,14 +545,13 @@ class TestCrashDump:
         out = tmp_path / "artifacts"
         out.mkdir()
         monkeypatch.setenv("REPRO_BENCH_OUT", str(out))
-        real = scheduler_mod._default_job_entry
 
-        def crashing(workload, config, n_instructions):
+        def crashing(workload, config, n_instructions, *args):
             if workload == "int_01":
                 raise BrokenExecutor("worker killed")
-            return real(workload, config, n_instructions)
+            return runner.run_job(workload, config, n_instructions, *args)
 
-        monkeypatch.setattr(scheduler_mod, "_JOB_ENTRY", crashing)
+        monkeypatch.setattr(runner, "job_entry", crashing)
 
         async def scenario(server):
             async with ServeClient(port=server.port) as client:
@@ -607,11 +645,36 @@ class TestStreamedTelemetryBitIdentity:
 # satellite: cache stats lifetime rates + --json
 
 
+def _run_cached_once() -> None:
+    runner.run_cached("fp_01", SimConfig(), N_INSTRUCTIONS)
+
+
+def _run_suite_once() -> None:
+    runner.run_suite(["fp_01"], SimConfig(), N_INSTRUCTIONS, jobs=1)
+
+
+def _serve_once() -> None:
+    async def scenario(server):
+        async with ServeClient(port=server.port) as client:
+            reply = await client.run(["fp_01"], n_instructions=N_INSTRUCTIONS)
+        assert len(reply.results) == 1 and not reply.errors
+
+    run_async(_with_server(scenario))
+
+
 class TestCacheStatsCli:
-    def test_lifetime_rates_from_counters(self, fresh_cache, telemetry_on, capsys):
-        config = SimConfig()
-        runner.run_cached("fp_01", config, N_INSTRUCTIONS)  # miss + store
-        runner.run_cached("fp_01", config, N_INSTRUCTIONS)  # memory hit
+    @pytest.mark.parametrize(
+        "run_once",
+        [_run_cached_once, _run_suite_once, _serve_once],
+        ids=["run_cached", "run_suite", "served"],
+    )
+    def test_lifetime_rates_from_counters(
+        self, fresh_cache, telemetry_on, capsys, run_once
+    ):
+        # Every path probes the caches the same way: a cold job counts one
+        # miss (and one store), its repeat one memory hit.
+        run_once()
+        run_once()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "lifetime       hit rate 50.0% (memory 1 + disk 0 hits, 1 misses)" in out
