@@ -3,8 +3,9 @@
 Two fixture families live in ``tests/golden/sim_digests.json``:
 
 * ``results`` — for every differential case (the pinned perf suite and
-  the datacenter slice under base/UCP, six config variants of int_02 and
-  the hand-built branchy trace) the sha256 of ``SimResult.to_dict()``
+  the datacenter slice under base/UCP, six config variants of int_02,
+  three UCP variants of int_02 and dc_interp_01, and the hand-built
+  branchy trace) the sha256 of ``SimResult.to_dict()``
   plus the idle-skip telemetry ``(skipped_cycles, skip_events)``;
 * ``observed`` — for 16 cases run with the sanitizer and the event bus
   armed (``check=True, observe=True``), the result digest, the stall
@@ -60,6 +61,15 @@ VARIANTS: dict[str, Callable[[SimConfig], SimConfig]] = {
     "djolt": lambda c: replace(c, l1i_prefetcher="djolt"),
 }
 
+#: UCP variants (label -> ``ucp_config`` overrides) beyond the default
+#: UCP-Conf + Alt-Ind engine, each run on :data:`UCP_VARIANT_WORKLOADS`.
+UCP_VARIANTS: dict[str, dict[str, Any]] = {
+    "noind": {"use_indirect": False},
+    "tage_conf": {"confidence": "tage"},
+    "perceptron": {"confidence": "perceptron"},
+}
+UCP_VARIANT_WORKLOADS = ("int_02", "dc_interp_01")
+
 
 def configs() -> dict[str, SimConfig]:
     from repro.experiments.common import baseline_config, ucp_config
@@ -69,6 +79,7 @@ def configs() -> dict[str, SimConfig]:
 
 def result_cases() -> dict[str, tuple[Callable[[], Trace], SimConfig]]:
     """Case id -> (trace factory, config) for the ``results`` family."""
+    from repro.experiments.common import ucp_config
     from tests.conftest import build_branchy_trace
 
     cases: dict[str, tuple[Callable[[], Trace], SimConfig]] = {}
@@ -85,6 +96,9 @@ def result_cases() -> dict[str, tuple[Callable[[], Trace], SimConfig]]:
             cases[f"{name}/{label}@2000"] = (workload(name, 2_000), config)
     for label, transform in VARIANTS.items():
         cases[f"int_02/{label}@2000"] = (workload("int_02", 2_000), transform(SimConfig()))
+    for name in UCP_VARIANT_WORKLOADS:
+        for label, overrides in UCP_VARIANTS.items():
+            cases[f"{name}/ucp_{label}@2000"] = (workload(name, 2_000), ucp_config(**overrides))
     cases["branchy/default"] = (build_branchy_trace, SimConfig())
     return cases
 

@@ -240,6 +240,11 @@ class TestDifferential:
     def test_config_variants_bit_identical(self, label, config_fn):
         _matches_fixture(f"int_02/{label}@2000")
 
+    @pytest.mark.parametrize("workload", digests.UCP_VARIANT_WORKLOADS)
+    @pytest.mark.parametrize("label", list(digests.UCP_VARIANTS))
+    def test_ucp_variants_bit_identical(self, workload, label):
+        _matches_fixture(f"{workload}/ucp_{label}@2000")
+
     def test_tiny_hand_trace_bit_identical(self):
         _matches_fixture("branchy/default")
 
