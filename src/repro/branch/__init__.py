@@ -32,14 +32,13 @@ from repro.branch.perceptron import (
 )
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.sc import StatisticalCorrector
-from repro.branch.tage import TAGE, TageConfig, TageHistories, TagePrediction
+from repro.branch.tage import TAGE, TageConfig, TagePrediction
 from repro.branch.tage_sc_l import Provider, TageScL, TageScLConfig, TageScLPrediction
 
 __all__ = [
     "BimodalPredictor",
     "TAGE",
     "TageConfig",
-    "TageHistories",
     "TagePrediction",
     "LoopPredictor",
     "HashedPerceptron",

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.branch.loop import LoopPredictor, LoopPrediction
-from repro.branch.sc import SCHistories, SCPrediction, StatisticalCorrector
-from repro.branch.tage import TAGE, TageConfig, TageHistories, TagePrediction
+from repro.branch.sc import DEFAULT_SC_LENGTHS, SCPrediction, StatisticalCorrector
+from repro.branch.tage import TAGE, TageConfig, TagePrediction
+from repro.common.history import BranchHistory
 
 
 class Provider(Enum):
@@ -56,27 +57,6 @@ class TageScLConfig:
         sc_bits = 6 * 6 * (1 << self.sc_size_bits)
         loop_bits = (1 << self.loop_size_bits) * 52
         return (self.tage.storage_bits + sc_bits + loop_bits) / 8192
-
-
-class TageScLHistories:
-    """Joint history bundle for the TAGE and SC components.
-
-    UCP's Alt-BP keeps two of these (predicted-path and alternate-path);
-    :meth:`copy_from` is the resynchronisation the paper describes when a
-    new alternate path starts.
-    """
-
-    def __init__(self, tage: TageHistories, sc: SCHistories) -> None:
-        self.tage = tage
-        self.sc = sc
-
-    def push(self, pc: int, taken: bool) -> None:
-        self.tage.push(pc, taken)
-        self.sc.push(taken)
-
-    def copy_from(self, other: "TageScLHistories") -> None:
-        self.tage.copy_from(other.tage)
-        self.sc.copy_from(other.sc)
 
 
 class TageScLPrediction:
@@ -117,27 +97,33 @@ class TageScL:
 
     def __init__(self, config: TageScLConfig | None = None) -> None:
         self.config = config or TageScLConfig()
-        self.tage = TAGE(self.config.tage)
+        #: The one register of the predicted path: TAGE's and the SC's
+        #: folds (and those of an ITTAGE built with ``share=``) on it.
+        self.histories = BranchHistory(
+            capacity=max(self.config.tage.history_lengths()[-1], max(DEFAULT_SC_LENGTHS)) + 1
+        )
+        self.tage = TAGE(self.config.tage, share=self.histories)
         self.loop = LoopPredictor(self.config.loop_size_bits)
         self.sc = StatisticalCorrector(
             size_bits=self.config.sc_size_bits,
             use_threshold=self.config.sc_use_threshold,
+            share=self.histories.direction,
         )
-        self.histories = TageScLHistories(self.tage.histories, self.sc.histories)
 
-    def make_histories(self) -> TageScLHistories:
-        """A fresh history bundle (for the alternate path)."""
-        return TageScLHistories(self.tage.make_histories(), self.sc.make_histories())
+    def make_histories(self) -> BranchHistory:
+        """An empty register with the same geometry (for the alternate
+        path); build it after every predictor sharing the register."""
+        return self.histories.fresh()
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
 
     def predict(
-        self, pc: int, histories: TageScLHistories | None = None
+        self, pc: int, histories: BranchHistory | None = None
     ) -> TageScLPrediction:
-        histories = histories or self.histories
-        tage_pred = self.tage.predict(pc, histories.tage)
+        # None: each component hashes its own register (the shared one).
+        tage_pred = self.tage.predict(pc, histories)
 
         if tage_pred.provider == "hit":
             provider = Provider.HITBANK
@@ -166,7 +152,9 @@ class TageScL:
             ctr = tage_pred.provider_ctr
             confidence = ctr if ctr >= 0 else -ctr - 1
         weight = 4 + 10 * confidence
-        sc_pred = self.sc.predict(pc, intermediate, histories.sc, tage_weight=weight)
+        sc_pred = self.sc.predict(
+            pc, intermediate, histories and histories.direction, tage_weight=weight
+        )
         final = intermediate
         if self.sc.should_override(sc_pred, intermediate):
             final = sc_pred.taken

@@ -2,11 +2,11 @@
 
 This package holds the hardware-flavoured primitives that every other
 subsystem is assembled from: saturating counters, global-history registers
-with folded (CSR) views, LRU replacement state, and statistics helpers.
+with packed folded (CSR) views, LRU replacement state, and statistics helpers.
 """
 
 from repro.common.counters import SaturatingCounter, SignedSaturatingCounter
-from repro.common.history import FoldedHistory, GlobalHistory
+from repro.common.history import BranchHistory, FoldedHistory, GlobalHistory
 from repro.common.lru import LRUSet
 from repro.common.output import resolve_output_path
 from repro.common.stats import StatBlock, amean, geomean, percent
@@ -16,6 +16,7 @@ __all__ = [
     "SignedSaturatingCounter",
     "GlobalHistory",
     "FoldedHistory",
+    "BranchHistory",
     "LRUSet",
     "StatBlock",
     "amean",

@@ -1,7 +1,7 @@
 """The recorded branch stream: the BPU's only predictor input.
 
-The baseline predictor stack (TAGE-SC-L + ITTAGE + folded global
-histories) is *timing-independent*: the BPU stalls at every
+The baseline predictor stack (TAGE-SC-L + ITTAGE on one folded global
+history register) is *timing-independent*: the BPU stalls at every
 misprediction (no wrong-path fetch), so it processes each branch exactly
 once, in trace order, and every predictor consult/update sequence is a
 pure function of (trace, predictor configs) — block boundaries, FTQ
@@ -79,18 +79,19 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
     predictor state is path-dependent, so any reordering would change
     later predictions:
 
-    * conditional: ``cond.predict``, ``cond.update``,
-      ``indirect.push_history(pc, taken)``;
-    * any unconditional: ``cond.push_unconditional``,
-      ``indirect.push_history(pc, True)``;
+    * conditional: ``cond.predict``, ``cond.update`` (which pushes the
+      history);
+    * any unconditional: ``cond.push_unconditional``;
     * indirect / indirect call (additionally): ``indirect.predict``,
       ``indirect.update``.
 
-    Returns and direct jumps/calls consult no predictor (the RAS stays
-    live in the BPU), so only their history pushes appear here.
+    ITTAGE's folds share TAGE-SC-L's register, so each branch is one
+    history push.  Returns and direct jumps/calls consult no predictor
+    (the RAS stays live in the BPU), so only their history pushes appear
+    here.
     """
     cond = TageScL(config.branch_predictor)
-    indirect = ITTAGE(config.indirect_predictor)
+    indirect = ITTAGE(config.indirect_predictor, share=cond.histories)
     pcs, classes, takens, targets, _next_pcs = trace.list_columns()
 
     indices: list[int] = trace.branch_classes.nonzero()[0].tolist()
@@ -107,10 +108,8 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
                 | (UCP_H2P if ucp_conf_is_h2p(prediction) else 0)
             )
             cond.update(prediction, taken)
-            indirect.push_history(pc, taken)
             continue
         cond.push_unconditional(pc)
-        indirect.push_history(pc, True)
         if branch_class == _CALL_INDIRECT or branch_class == _INDIRECT:
             target = targets[i]
             ipred = indirect.predict(pc)

@@ -9,7 +9,9 @@ using its own small predictors:
   the main predictor on the predicted path, but which keeps a second,
   divergent history (GHR) for the alternate path, resynchronised by copy
   when a new alternate path starts (Section IV-C);
-* **Alt-Ind** — an optional 4KB-class ITTAGE for indirect targets;
+* **Alt-Ind** — an optional 4KB-class ITTAGE for indirect targets, whose
+  folds share the Alt-BP history registers (one push and one copy per
+  path for both predictors);
 * **Alt-RAS** — a 16-entry return stack copied from the main RAS;
 * the shared, double-banked **BTB** for taken targets, arbitrating bank
   conflicts with the demand path via a 3-bit delay counter.
@@ -82,11 +84,15 @@ class UCPEngine:
         self.stats = simulator.stats
 
         self.alt_bp = TageScL(TageScLConfig.small())
-        #: The Alt-BP default histories track the predicted path; this
-        #: second bundle diverges along the alternate path.
+        self.alt_ind = (
+            ITTAGE(ITTAGEConfig.small(), share=self.alt_bp.histories)
+            if self.ucp.use_indirect
+            else None
+        )
+        #: The Alt-BP register (Alt-Ind folds included) tracks the
+        #: predicted path; this second one diverges along the alternate
+        #: path.
         self.alt_histories = self.alt_bp.make_histories()
-        self.alt_ind = ITTAGE(ITTAGEConfig.small()) if self.ucp.use_indirect else None
-        self.alt_ind_histories = self.alt_ind.make_histories() if self.alt_ind else None
         self.alt_ras = ReturnAddressStack(self.ucp.alt_ras_entries)
 
         # Walk state.
@@ -98,12 +104,15 @@ class UCPEngine:
         self._threshold = float(self.ucp.stop_threshold)
         self._no_branch_run = 0
         self._walk_block_len = 0  # mirror of the BPU fetch-block grouping
-        self._open: list[tuple[int, bool, bool, int]] = []  # building entry
-        self._open_branches = 0  # branches in the open entry (hot counter)
+        # The entry being built: start PC and µ-op count (0 == none open).
+        self._open_start = 0
+        self._open_len = 0
+        self._open_branches = 0  # branches in the open entry
         self._btb_delay = 0  # 3-bit BTB bank-conflict counter
         # Hot-path constants for the walk loop.
         self._clasp = bool(config.uop_cache and config.uop_cache.clasp)
         self._fetch_block_size = config.frontend.fetch_block_size
+        self._line_size = config.hierarchy.l1i.line_size
 
         # Prefetch pipeline.
         self.alt_ftq: deque[PendingEntry] = deque()
@@ -143,8 +152,6 @@ class UCPEngine:
             self._conf_perceptron.update(conf_pred, event.actual_taken)
         alt_pred = self.alt_bp.predict(event.pc)
         self.alt_bp.update(alt_pred, event.actual_taken)
-        if self.alt_ind is not None:
-            self.alt_ind.push_history(event.pc, event.actual_taken)
 
         if not self._is_h2p(event):
             return
@@ -159,8 +166,6 @@ class UCPEngine:
         if self.ucp.confidence == "perceptron":
             self._conf_perceptron.push_unconditional(pc)
         self.alt_bp.push_unconditional(pc)
-        if self.alt_ind is not None:
-            self.alt_ind.push_history(pc, True)
 
     def on_indirect(self, pc: int, target: int) -> None:
         if self.alt_ind is None:
@@ -210,9 +215,6 @@ class UCPEngine:
         # the H2P branch taken in the *opposite* direction.
         self.alt_histories.copy_from(self.alt_bp.histories)
         self.alt_histories.push(event.pc, not event.predicted_taken)
-        if self.alt_ind is not None:
-            self.alt_ind_histories.copy_from(self.alt_ind.histories)
-            self.alt_ind_histories.push(event.pc, not event.predicted_taken)
         self.alt_ras.copy_from(self.sim.bpu.ras)
 
     def _stop_walk(self, reason: str) -> None:
@@ -224,7 +226,7 @@ class UCPEngine:
 
     def _flush_pending_entry(self) -> None:
         """Queue whatever µ-ops are open as a final (short) entry."""
-        if self._open:
+        if self._open_len:
             self._close_entry(next_pc=0)
 
     # ------------------------------------------------------------------
@@ -332,9 +334,7 @@ class UCPEngine:
             return
 
         hierarchy = self.sim.hierarchy
-        line_size = hierarchy.config.l1i.line_size
         addr = pending.entry.start_pc
-        pending.line = addr // line_size
         if self.ucp.till_l1i_only:
             # UCP-TillL1I: warm the L1I only; no decode, no µ-op insert.
             hierarchy.enqueue_prefetch(addr)
@@ -435,8 +435,6 @@ class UCPEngine:
                     self._stop_walk("btb_miss")
                     return False
             self.alt_histories.push(pc, taken)
-            if self.alt_ind is not None:
-                self.alt_ind_histories.push(pc, taken)
             self._append_uop(pc, True, taken, target if taken else pc + 4)
             self._walk_pc = target if taken else pc + 4
             if self._stop_counter >= self._threshold:
@@ -457,7 +455,7 @@ class UCPEngine:
                 self._append_uop(pc, True, False, pc + 4)
                 self._stop_walk("indirect_no_predictor")
                 return False
-            ind_pred = self.alt_ind.predict(pc, histories=self.alt_ind_histories)
+            ind_pred = self.alt_ind.predict(pc, histories=self.alt_histories)
             target = ind_pred.target
             self._stop_counter += 1
             if target is None:
@@ -476,8 +474,6 @@ class UCPEngine:
             self.alt_ras.push(pc + 4)
 
         self.alt_histories.push(pc, True)
-        if self.alt_ind is not None:
-            self.alt_ind_histories.push(pc, True)
         self._append_uop(pc, True, True, target)
         self._walk_pc = target
         if self._stop_counter >= self._threshold:
@@ -513,28 +509,30 @@ class UCPEngine:
     def _append_uop(self, pc: int, is_branch: bool, taken: bool, next_pc: int) -> None:
         """Group walked µ-ops exactly like the demand path's entries."""
         clasp = self._clasp
-        open_uops = self._open
-        if open_uops:
-            start_pc = open_uops[0][0]
-            expected = start_pc + 4 * len(open_uops)
+        open_len = self._open_len
+        if open_len:
+            start_pc = self._open_start
             region_end = (start_pc // REGION_BYTES + 1) * REGION_BYTES
             if (
-                pc != expected
+                pc != start_pc + 4 * open_len
                 or self._walk_block_len == 0  # new fetch-block boundary
                 or (not clasp and pc >= region_end)
                 or (is_branch and self._open_branches >= 2)
             ):
                 self._close_entry(next_pc=pc)
-                open_uops = self._open
-        open_uops.append((pc, is_branch, taken, next_pc))
+                open_len = 0
+        if not open_len:
+            self._open_start = pc
+        open_len += 1
+        self._open_len = open_len
         if is_branch:
             self._open_branches += 1
         self._walk_block_len += 1
 
-        closes = (is_branch and taken) or len(open_uops) >= 8
+        closes = (is_branch and taken) or open_len >= 8
         if not clasp:
             closes = closes or (
-                pc + 4 >= (open_uops[0][0] // REGION_BYTES + 1) * REGION_BYTES
+                pc + 4 >= (self._open_start // REGION_BYTES + 1) * REGION_BYTES
             )
         if (is_branch and taken) or self._walk_block_len >= self._fetch_block_size:
             self._walk_block_len = 0
@@ -542,14 +540,12 @@ class UCPEngine:
             self._close_entry(next_pc=next_pc)
 
     def _close_entry(self, next_pc: int) -> None:
-        if not self._open:
+        if not self._open_len:
             return
-        start_pc = self._open[0][0]
-        entry = UopCacheEntry(
-            start_pc, len(self._open), next_pc, from_prefetch=True
-        )
-        self._open = []
+        start_pc = self._open_start
+        entry = UopCacheEntry(start_pc, self._open_len, next_pc, from_prefetch=True)
+        self._open_len = 0
         self._open_branches = 0
-        pending = PendingEntry(entry, self.trigger_index, start_pc // 64)
+        pending = PendingEntry(entry, self.trigger_index, start_pc // self._line_size)
         self.alt_ftq.append(pending)
         self.stats.add("ucp_entries_generated")
