@@ -461,7 +461,7 @@ class ParallelRunner:
         self.stats.counters.add("jobs_simulated")
         self.stats.timings.append(JobTiming(job, seconds))
         _runner.record_spans(spans)
-        _runner._memory_cache[job.key] = result
+        result = _runner._memory_cache.setdefault(job.key, result)
         self._resolve(state, job, result)
 
     def _fail(self, state: _RunState, job: SimJob, error: BaseException) -> None:

@@ -625,7 +625,7 @@ class Scheduler:
                     f"{job.describe()} failed: {type(error).__name__}: {error}",
                 ) from error
             else:
-                _runner._memory_cache[job.key] = result
+                result = _runner._memory_cache.setdefault(job.key, result)
                 _runner.record_spans(worker_spans)
                 return FlightResult(
                     result=result,

@@ -191,3 +191,24 @@ class TestSingleFlight:
         assert len(calls) == 1
         assert len(results) == 4
         assert all(r is results[0] for r in results)
+
+    def test_caller_between_store_and_publish_gets_the_same_object(
+        self, cache_dir, monkeypatch
+    ):
+        """A caller that probes after the owner's disk store but before it
+        publishes in memory promotes the stored entry; the owner must then
+        return that one object instead of overwriting it with its own."""
+        real_store = runner._store_disk
+        inside: list = []
+
+        def store_then_race(key, result):
+            real_store(key, result)
+            racer = threading.Thread(target=lambda: inside.append(_simulate_once(3_000)))
+            racer.start()
+            racer.join()
+
+        monkeypatch.setattr(runner, "_store_disk", store_then_race)
+        owner = _simulate_once(3_000)
+        assert len(inside) == 1
+        assert inside[0] is owner
+        assert runner._memory_cache[runner.cache_key("fp_01", 3_000, SimConfig())] is owner
