@@ -3,8 +3,9 @@
 A :class:`Trace` stores the dynamic instruction stream in parallel numpy
 arrays (PC, branch class, taken, target).  The cycle simulator indexes these
 arrays directly — far cheaper than a list of objects at the tens-of-
-thousands-of-instructions scale we simulate — while tests and generators
-can still work with :class:`~repro.isa.instruction.TraceEntry` records.
+thousands-of-instructions scale we simulate — while tests and text
+readers can still build one from
+:class:`~repro.isa.instruction.TraceEntry` records.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ class TraceStats:
         if self.conditional_branches == 0:
             return 0.0
         return self.taken_conditionals / self.conditional_branches
+
+
+#: One :class:`TraceEntry` as a row: :meth:`Trace.from_entries` reads
+#: each entry once into a record array, then takes its fields as columns.
+_ENTRY_DTYPE = np.dtype(
+    [("pc", np.int64), ("branch_class", np.uint8), ("taken", bool), ("target", np.int64)]
+)
 
 
 class Trace:
@@ -90,18 +98,11 @@ class Trace:
 
     @classmethod
     def from_entries(cls, name: str, entries: Iterable[TraceEntry]) -> "Trace":
-        entries = list(entries)
-        pcs = np.fromiter((entry.pc for entry in entries), dtype=np.int64, count=len(entries))
-        classes = np.fromiter(
-            (entry.branch_class for entry in entries), dtype=np.uint8, count=len(entries)
+        rows = np.fromiter(
+            ((entry.pc, entry.branch_class, entry.taken, entry.target) for entry in entries),
+            dtype=_ENTRY_DTYPE,
         )
-        takens = np.fromiter(
-            (entry.taken for entry in entries), dtype=bool, count=len(entries)
-        )
-        targets = np.fromiter(
-            (entry.target for entry in entries), dtype=np.int64, count=len(entries)
-        )
-        return cls(name, pcs, classes, takens, targets)
+        return cls(name, rows["pc"], rows["branch_class"], rows["taken"], rows["target"])
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -134,13 +135,27 @@ class Trace:
         )
 
     def validate(self) -> None:
-        """Check control-flow consistency of the recorded stream.
+        """Check every record's own rules and the stream's connectivity.
 
-        Every instruction's recorded ``next_pc`` must equal the PC of the
-        following record — a trace is a *connected* dynamic path.
+        Each PC is :data:`INSTRUCTION_SIZE`-aligned, only branches are
+        taken and every unconditional branch is taken (the rules a
+        :class:`TraceEntry` checks on construction); and every
+        instruction's recorded ``next_pc`` equals the PC of the following
+        record — a trace is a *connected* dynamic path.
         """
-        if len(self) < 2:
-            return
+        not_branch = self.branch_classes == BranchClass.NOT_BRANCH
+        unconditional = ~not_branch & (self.branch_classes != BranchClass.COND_DIRECT)
+        for bad, problem in (
+            (self.pcs % INSTRUCTION_SIZE != 0, "a misaligned PC"),
+            (not_branch & self.takens, "a taken non-branch"),
+            (unconditional & ~self.takens, "a not-taken unconditional branch"),
+        ):
+            if bad.any():
+                index = int(bad.argmax())
+                raise ValueError(
+                    f"trace {self.name!r} has {problem} at index {index} "
+                    f"(pc {int(self.pcs[index]):#x})"
+                )
         mismatches = np.nonzero(self.next_pcs[:-1] != self.pcs[1:])[0]
         if len(mismatches):
             index = int(mismatches[0])
@@ -148,18 +163,6 @@ class Trace:
                 f"trace {self.name!r} broken at index {index}: "
                 f"next_pc {int(self.next_pcs[index]):#x} != pc {int(self.pcs[index + 1]):#x}"
             )
-        unconditional = np.isin(
-            self.branch_classes,
-            [
-                BranchClass.UNCOND_DIRECT,
-                BranchClass.CALL_DIRECT,
-                BranchClass.CALL_INDIRECT,
-                BranchClass.INDIRECT,
-                BranchClass.RETURN,
-            ],
-        )
-        if not self.takens[unconditional].all():
-            raise ValueError(f"trace {self.name!r} has a not-taken unconditional branch")
 
     def save(self, path: str | Path) -> None:
         np.savez_compressed(

@@ -1,9 +1,12 @@
 """Tests for the instruction model and trace container."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.isa import INSTRUCTION_SIZE, BranchClass, Trace, TraceEntry
+from repro.workloads import load_workload
 
 
 class TestBranchClass:
@@ -139,3 +142,44 @@ class TestTrace:
         trace = Trace.from_entries("empty", [])
         assert len(trace) == 0
         trace.validate()
+
+
+#: The per-record rules ``Trace.validate`` enforces on raw columns:
+#: ``problem -> (rows a fault can hit, column planted, bad value)``.
+_PLANTED_FAULTS = {
+    "misaligned PC": (lambda classes: classes >= 0, "pcs", lambda pc: pc + 2),
+    "taken non-branch": (
+        lambda classes: classes == BranchClass.NOT_BRANCH, "takens", lambda _: True
+    ),
+    "not-taken unconditional": (
+        lambda classes: (classes != BranchClass.NOT_BRANCH)
+        & (classes != BranchClass.COND_DIRECT),
+        "takens",
+        lambda _: False,
+    ),
+}
+
+
+class TestValidateRejectsPlantedRows:
+    """Generated traces skip ``TraceEntry``'s checks, so ``validate`` must
+    catch each bad row in the raw columns, wherever it sits."""
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        trace = load_workload("int_02", 3_000).trace
+        trace.validate()
+        return {
+            name: getattr(trace, name)
+            for name in ("pcs", "branch_classes", "takens", "targets")
+        }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("problem", sorted(_PLANTED_FAULTS))
+    def test_planted_row_rejected(self, columns, problem, seed):
+        eligible, name, bad = _PLANTED_FAULTS[problem]
+        planted = {column: values.copy() for column, values in columns.items()}
+        row = int(random.Random(seed).choice(np.flatnonzero(eligible(planted["branch_classes"]))))
+        planted[name][row] = bad(planted[name][row])
+        trace = Trace("planted", *planted.values())
+        with pytest.raises(ValueError, match=f"{problem}.* at index {row} "):
+            trace.validate()
