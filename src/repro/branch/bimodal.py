@@ -35,7 +35,7 @@ class BimodalPredictor:
 
     def counter(self, pc: int) -> int:
         """Raw signed counter value for ``pc`` (taken iff >= 0)."""
-        return self._table[self._index(pc)]
+        return self._table[(pc >> 2) & self._mask]
 
     def predict(self, pc: int) -> bool:
         return self._table[self._index(pc)] >= 0

@@ -30,15 +30,15 @@ _BIMODAL_SATURATED = (-2, 1)
 
 def _tage_component_confident(prediction: TageScLPrediction) -> bool:
     """Seznec's rule applied to the TAGE component of the prediction."""
-    tage = prediction.tage
-    if tage.provider == "hit":
-        return tage.hit_ctr in _TAGGED_SATURATED
-    if tage.provider == "alt":
-        return tage.alt_ctr in _TAGGED_SATURATED
+    tage_provider = prediction.tage_provider
+    if tage_provider == "hit":
+        return prediction.hit_ctr in _TAGGED_SATURATED
+    if tage_provider == "alt":
+        return prediction.alt_ctr in _TAGGED_SATURATED
     # Bimodal provider: saturated counter, and no recent bimodal miss.
     if prediction.provider is Provider.BIMODAL_1IN8:
         return False
-    return tage.bimodal_ctr in _BIMODAL_SATURATED
+    return prediction.bimodal_ctr in _BIMODAL_SATURATED
 
 
 def tage_conf_is_h2p(prediction: TageScLPrediction) -> bool:
@@ -69,9 +69,9 @@ def ucp_conf_is_h2p(prediction: TageScLPrediction) -> bool:
     if provider is Provider.BIMODAL_1IN8:
         return True
     if provider is Provider.BIMODAL:
-        return prediction.tage.bimodal_ctr not in _BIMODAL_SATURATED
+        return prediction.bimodal_ctr not in _BIMODAL_SATURATED
     # HitBank.
-    return prediction.tage.hit_ctr not in _TAGGED_SATURATED
+    return prediction.hit_ctr not in _TAGGED_SATURATED
 
 
 class ConfidenceStats:

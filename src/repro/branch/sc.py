@@ -39,21 +39,14 @@ def sc_lane_term(pc: int, n_tables: int, mask: int) -> int:
 
 
 class SCPrediction:
-    """SC vote for one branch: the sum, its direction, and update hooks."""
+    """SC vote for one branch: the sum, its direction and the table
+    indices its update trains.
 
-    __slots__ = ("lsum", "taken", "indices", "used")
+    Set in full by :meth:`StatisticalCorrector.predict`; the fields are
+    prefixed because TAGE-SC-L's combined record carries them too.
+    """
 
-    def __init__(self, lsum: int, taken: bool, indices: tuple[int, ...]) -> None:
-        self.lsum = lsum
-        self.taken = taken
-        self.indices = indices
-        #: Set by the combined predictor when SC overrode the intermediate
-        #: prediction (i.e. SC is the provider).
-        self.used = False
-
-    @property
-    def magnitude(self) -> int:
-        return abs(self.lsum)
+    __slots__ = ("sc_lsum", "sc_taken", "sc_indices")
 
 
 class StatisticalCorrector:
@@ -122,38 +115,42 @@ class StatisticalCorrector:
         intermediate_taken: bool,
         histories: GlobalHistory | None = None,
         tage_weight: int | None = None,
+        pred: SCPrediction | None = None,
     ) -> SCPrediction:
+        """Fill ``pred`` (a fresh record by default) and return it."""
         histories = histories or self.histories
+        if pred is None:
+            pred = SCPrediction()
         term = self._pc_terms[pc]
         n_tables = len(self._tables)
         folds = (histories.packed >> self._fold_shift) & self._folds_mask
-        indices = self._unpack(
+        pred.sc_indices = indices = self._unpack(
             ((folds << (LANE_BITS * self._n_bias)) ^ term).to_bytes(2 * n_tables, LANE_BYTEORDER)
         )
         # Each counter votes 2*c + 1.
         lsum = 2 * sum(map(list.__getitem__, self._tables, indices)) + n_tables
         weight = self.tage_weight if tage_weight is None else tage_weight
-        lsum += weight if intermediate_taken else -weight
-        return SCPrediction(lsum, lsum >= 0, indices)
+        pred.sc_lsum = lsum = lsum + (weight if intermediate_taken else -weight)
+        pred.sc_taken = lsum >= 0
+        return pred
 
     def should_override(self, prediction: SCPrediction, intermediate_taken: bool) -> bool:
         """SC overrides when it disagrees and its sum is confident enough."""
         return (
-            prediction.taken != intermediate_taken
-            and prediction.magnitude >= self.use_threshold
+            prediction.sc_taken != intermediate_taken
+            and abs(prediction.sc_lsum) >= self.use_threshold
         )
 
     def update(self, prediction: SCPrediction, taken: bool) -> None:
         """GEHL update: train on mispredictions and low-confidence sums."""
-        correct = prediction.taken == taken
-        if correct and prediction.magnitude > 4 * self.use_threshold:
+        correct = prediction.sc_taken == taken
+        if correct and abs(prediction.sc_lsum) > 4 * self.use_threshold:
             return
-        for table, index in enumerate(prediction.indices):
-            counter = self._tables[table][index]
-            if taken:
-                self._tables[table][index] = min(self.COUNTER_MAX, counter + 1)
-            else:
-                self._tables[table][index] = max(self.COUNTER_MIN, counter - 1)
+        # Saturating step: counters never leave [COUNTER_MIN, COUNTER_MAX].
+        step, bound = (1, self.COUNTER_MAX) if taken else (-1, self.COUNTER_MIN)
+        for table, index in zip(self._tables, prediction.sc_indices):
+            if table[index] != bound:
+                table[index] += step
 
     def push_history(self, taken: bool) -> None:
         self.histories.push(taken)

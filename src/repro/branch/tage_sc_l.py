@@ -59,37 +59,25 @@ class TageScLConfig:
         return (self.tage.storage_bits + sc_bits + loop_bits) / 8192
 
 
-class TageScLPrediction:
-    """Combined prediction with full per-component provenance."""
+class TageScLPrediction(TagePrediction):
+    """The one record a TAGE-SC-L consult fills: TAGE's provenance (the
+    base class), the loop and SC fields each component's ``predict``
+    writes into it, and the final direction and :class:`Provider`."""
 
-    __slots__ = ("pc", "taken", "provider", "tage", "loop", "sc", "intermediate_taken")
-
-    def __init__(
-        self,
-        pc: int,
-        taken: bool,
-        provider: Provider,
-        tage: TagePrediction,
-        loop: LoopPrediction,
-        sc: SCPrediction,
-        intermediate_taken: bool,
-    ) -> None:
-        self.pc = pc
-        self.taken = taken
-        self.provider = provider
-        self.tage = tage
-        self.loop = loop
-        self.sc = sc
-        self.intermediate_taken = intermediate_taken
+    __slots__ = (
+        ("taken", "provider", "intermediate_taken")
+        + LoopPrediction.__slots__
+        + SCPrediction.__slots__
+    )
 
     @property
     def provider_value(self) -> int:
         """The provider's raw confidence value (counter or SC sum)."""
         if self.provider is Provider.SC:
-            return self.sc.lsum
+            return self.sc_lsum
         if self.provider is Provider.LOOP:
-            return self.loop.confidence
-        return self.tage.provider_ctr
+            return self.loop_confidence
+        return self.provider_ctr
 
 
 class TageScL:
@@ -122,22 +110,23 @@ class TageScL:
     def predict(
         self, pc: int, histories: BranchHistory | None = None
     ) -> TageScLPrediction:
+        pred = TageScLPrediction()
         # None: each component hashes its own register (the shared one).
-        tage_pred = self.tage.predict(pc, histories)
+        self.tage.predict(pc, histories, pred)
 
-        if tage_pred.provider == "hit":
+        if pred.tage_provider == "hit":
             provider = Provider.HITBANK
-        elif tage_pred.provider == "alt":
+        elif pred.tage_provider == "alt":
             provider = Provider.ALTBANK
         elif self.tage.bimodal.miss_in_last_8:
             provider = Provider.BIMODAL_1IN8
         else:
             provider = Provider.BIMODAL
-        intermediate = tage_pred.taken
+        intermediate = pred.tage_taken
 
-        loop_pred = self.loop.predict(pc)
-        if loop_pred.valid and loop_pred.confident:
-            intermediate = loop_pred.taken
+        self.loop.predict(pc, pred)
+        if pred.loop_confident:
+            intermediate = pred.loop_taken
             provider = Provider.LOOP
 
         # The intermediate prediction votes into the SC sum with a weight
@@ -145,25 +134,23 @@ class TageScL:
         # a saturated TAGE counter is almost never overridden, a weak or
         # loop-less prediction is fair game for the corrector.
         if provider is Provider.LOOP:
-            confidence = 3 if loop_pred.confident else 1
+            confidence = 3
         elif provider in (Provider.BIMODAL, Provider.BIMODAL_1IN8):
-            confidence = 3 if tage_pred.bimodal_ctr in (-2, 1) else 0
+            confidence = 3 if pred.bimodal_ctr in (-2, 1) else 0
         else:
-            ctr = tage_pred.provider_ctr
+            ctr = pred.provider_ctr
             confidence = ctr if ctr >= 0 else -ctr - 1
         weight = 4 + 10 * confidence
-        sc_pred = self.sc.predict(
-            pc, intermediate, histories and histories.direction, tage_weight=weight
+        self.sc.predict(
+            pc, intermediate, histories and histories.direction, tage_weight=weight, pred=pred
         )
         final = intermediate
-        if self.sc.should_override(sc_pred, intermediate):
-            final = sc_pred.taken
+        if self.sc.should_override(pred, intermediate):
+            final = pred.sc_taken
             provider = Provider.SC
-            sc_pred.used = True
 
-        return TageScLPrediction(
-            pc, final, provider, tage_pred, loop_pred, sc_pred, intermediate
-        )
+        pred.taken, pred.provider, pred.intermediate_taken = final, provider, intermediate
+        return pred
 
     # ------------------------------------------------------------------
     # Update
@@ -176,9 +163,9 @@ class TageScL:
         direction (the pipeline repairs history on mispredictions, so the
         committed history equals the correct-path history).
         """
-        self.loop.update(prediction.pc, taken, prediction.loop)
-        self.sc.update(prediction.sc, taken)
-        self.tage.update(prediction.tage, taken)
+        self.loop.update(prediction.pc, taken)
+        self.sc.update(prediction, taken)
+        self.tage.update(prediction, taken)
         self.histories.push(prediction.pc, taken)
 
     def push_unconditional(self, pc: int) -> None:

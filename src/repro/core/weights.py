@@ -16,6 +16,9 @@ from repro.branch.tage_sc_l import Provider, TageScLPrediction
 #: Sentinel for "stop the alternate path immediately".
 INFINITE = math.inf
 
+#: HitBank weight by the provider counter's strength (0 = weakest).
+_HITBANK_WEIGHTS = (6, 4, 3, 1)
+
 
 def condition_weight(prediction: TageScLPrediction) -> int:
     """Table I, Condition rows: weight for a conditional on the alt path."""
@@ -23,7 +26,7 @@ def condition_weight(prediction: TageScLPrediction) -> int:
     if provider is Provider.LOOP:
         return 1
     if provider is Provider.SC:
-        magnitude = abs(prediction.sc.lsum)
+        magnitude = abs(prediction.sc_lsum)
         if magnitude >= 128:
             return 3
         if magnitude >= 64:
@@ -32,12 +35,11 @@ def condition_weight(prediction: TageScLPrediction) -> int:
             return 8
         return 10
     if provider is Provider.ALTBANK:
-        return 5 if prediction.tage.alt_ctr in (-4, 3) else 7
+        return 5 if prediction.alt_ctr in (-4, 3) else 7
     if provider is Provider.HITBANK:
-        strength = _tagged_strength(prediction.tage.hit_ctr)
-        return {3: 1, 2: 3, 1: 4, 0: 6}[strength]
+        return _HITBANK_WEIGHTS[_tagged_strength(prediction.hit_ctr)]
     # Bimodal (2-bit counter: saturated == -2 or 1).
-    saturated = prediction.tage.bimodal_ctr in (-2, 1)
+    saturated = prediction.bimodal_ctr in (-2, 1)
     if provider is Provider.BIMODAL_1IN8:
         return 2 if saturated else 6
     return 1 if saturated else 2

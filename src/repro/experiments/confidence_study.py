@@ -60,7 +60,7 @@ def _bucket(prediction) -> int:
     predictor."""
     provider = prediction.provider
     if provider is Provider.SC:
-        magnitude = abs(prediction.sc.lsum)
+        magnitude = abs(prediction.sc_lsum)
         if magnitude >= 128:
             return 3
         if magnitude >= 64:
@@ -69,9 +69,9 @@ def _bucket(prediction) -> int:
             return 1
         return 0
     if provider is Provider.LOOP:
-        return prediction.loop.confidence
+        return prediction.loop_confidence
     if provider in (Provider.BIMODAL, Provider.BIMODAL_1IN8):
-        return prediction.tage.bimodal_ctr
+        return prediction.bimodal_ctr
     if provider is Provider.ALTBANK:
-        return prediction.tage.alt_ctr
-    return prediction.tage.hit_ctr
+        return prediction.alt_ctr
+    return prediction.hit_ctr

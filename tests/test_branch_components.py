@@ -78,7 +78,7 @@ class TestTageCore:
         for i in range(2000):
             taken = i % 2 == 0
             pred = tage.predict(0x1000)
-            if i > 500 and pred.taken != taken:
+            if i > 500 and pred.tage_taken != taken:
                 misses += 1
             tage.update(pred, taken)
             tage.push_history(0x1000, taken)
@@ -87,7 +87,7 @@ class TestTageCore:
     def test_provenance_reported(self):
         tage = TAGE(TageConfig(n_tables=4))
         pred = tage.predict(0x1000)
-        assert pred.provider == "bimodal"  # empty tables
+        assert pred.tage_provider == "bimodal"  # empty tables
         assert pred.hit_bank is None
         # After training on a history-dependent branch, tagged entries
         # should start providing.
@@ -95,7 +95,7 @@ class TestTageCore:
         for i in range(3000):
             taken = (i % 3) == 0
             pred = tage.predict(0x2000)
-            providers.add(pred.provider)
+            providers.add(pred.tage_provider)
             tage.update(pred, taken)
             tage.push_history(0x2000, taken)
         assert "hit" in providers
@@ -133,16 +133,16 @@ class TestLoopPredictor:
             taken = iteration < 6  # trip count 7
             pred = loop.predict(0x1000)
             if i > 200:
-                assert pred.valid
-                if pred.confident and pred.taken != taken:
+                assert pred.loop_valid
+                if pred.loop_confident and pred.loop_taken != taken:
                     misses += 1
-            loop.update(0x1000, taken, pred)
+            loop.update(0x1000, taken)
             iteration = iteration + 1 if taken else 0
         assert misses == 0
 
     def test_invalid_until_allocated(self):
         loop = LoopPredictor()
-        assert loop.predict(0x1000).valid is False
+        assert loop.predict(0x1000).loop_valid is False
 
     def test_variable_trip_never_confident(self):
         loop = LoopPredictor()
@@ -152,9 +152,9 @@ class TestLoopPredictor:
         for _ in range(2000):
             taken = iteration + 1 < trip
             pred = loop.predict(0x2000)
-            if pred.valid and pred.confident and pred.taken != taken:
+            if pred.loop_valid and pred.loop_confident and pred.loop_taken != taken:
                 confident_wrong += 1
-            loop.update(0x2000, taken, pred)
+            loop.update(0x2000, taken)
             if taken:
                 iteration += 1
             else:
@@ -165,10 +165,10 @@ class TestLoopPredictor:
     def test_aging_allows_replacement(self):
         loop = LoopPredictor(size_bits=1)  # tiny: force conflicts
         for _ in range(40):
-            pred = loop.predict(0x1000)
-            loop.update(0x1000, True, pred)
-            pred = loop.predict(0x1000 + (1 << 9))  # conflicting pc
-            loop.update(0x1000 + (1 << 9), True, pred)
+            loop.predict(0x1000)
+            loop.update(0x1000, True)
+            loop.predict(0x1000 + (1 << 9))  # conflicting pc
+            loop.update(0x1000 + (1 << 9), True)
         # No crash and entries age; nothing more to assert structurally.
 
 
@@ -181,13 +181,13 @@ class TestStatisticalCorrector:
             sc.update(pred, False)
             sc.push_history(False)
         pred = sc.predict(0x1000, intermediate_taken=True)
-        assert pred.taken is False
+        assert pred.sc_taken is False
         assert sc.should_override(pred, True)
 
     def test_no_override_when_agreeing(self):
         sc = StatisticalCorrector(size_bits=6)
         pred = sc.predict(0x1000, intermediate_taken=True)
-        if pred.taken:
+        if pred.sc_taken:
             assert not sc.should_override(pred, True)
 
     def test_detached_histories(self):
@@ -198,10 +198,10 @@ class TestStatisticalCorrector:
         alt.copy_from(sc.histories)
         a = sc.predict(0x2000, True)
         b = sc.predict(0x2000, True, histories=alt)
-        assert a.indices == b.indices
+        assert a.sc_indices == b.sc_indices
         alt.push(False)
         c = sc.predict(0x2000, True, histories=alt)
-        assert c.indices != a.indices
+        assert c.sc_indices != a.sc_indices
 
     def test_counters_bounded(self):
         sc = StatisticalCorrector(size_bits=4)

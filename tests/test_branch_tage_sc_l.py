@@ -90,7 +90,7 @@ class TestTageScLLearning:
         for i in range(8):
             bp.push_unconditional(0x5000 + 4 * i)
         after = bp.predict(0x1000)
-        assert before.tage.indices != after.tage.indices
+        assert before.indices != after.indices
 
     def test_small_config_storage(self):
         small = TageScLConfig.small()
@@ -108,10 +108,10 @@ class TestTageScLLearning:
             bp.push_unconditional(0x100 + 4 * i)
         main_pred = bp.predict(0x7000)
         alt_pred = bp.predict(0x7000, histories=alt)
-        assert main_pred.tage.indices != alt_pred.tage.indices
+        assert main_pred.indices != alt_pred.indices
         alt.copy_from(bp.histories)
         resynced = bp.predict(0x7000, histories=alt)
-        assert resynced.tage.indices == main_pred.tage.indices
+        assert resynced.indices == main_pred.indices
 
 
 class TestProviderAttribution:
@@ -136,7 +136,7 @@ class TestProviderAttribution:
         bp = TageScL()
         pred = bp.predict(0x1000)
         if pred.provider in (Provider.BIMODAL, Provider.BIMODAL_1IN8):
-            assert pred.provider_value == pred.tage.bimodal_ctr
+            assert pred.provider_value == pred.bimodal_ctr
 
 
 class TestConfidenceClassifiers:

@@ -112,8 +112,8 @@ class TestLaneHashing:
                 assert list(pred.indices) == [tage._index(pc, t, histories) for t in tables]
                 assert list(pred.tags) == [tage._tag(pc, t, histories) for t in tables]
                 vote = sc.predict(pc, taken, register and register.direction)
-                assert vote.indices == reference.sc_indices(pc)
-                assert list(vote.indices) == sc._indices(pc, histories.direction)
+                assert vote.sc_indices == reference.sc_indices(pc)
+                assert list(vote.sc_indices) == sc._indices(pc, histories.direction)
                 target = indirect.predict(pc, register)
                 assert (target.indices, target.tags) == reference.ittage_hashes(pc)
                 tables = range(indirect.config.n_tables)

@@ -8,7 +8,7 @@ def drive(tage: TAGE, pc: int, outcomes) -> int:
     misses = 0
     for taken in outcomes:
         pred = tage.predict(pc)
-        misses += pred.taken != taken
+        misses += pred.tage_taken != taken
         tage.update(pred, taken)
         tage.push_history(pc, taken)
     return misses
@@ -83,7 +83,7 @@ class TestProviderSelection:
     def test_provider_ctr_reflects_provider(self):
         tage = TAGE(TageConfig(n_tables=4))
         pred = tage.predict(0x8000)
-        assert pred.provider == "bimodal"
+        assert pred.tage_provider == "bimodal"
         assert pred.provider_ctr == pred.bimodal_ctr
 
     def test_use_alt_on_na_in_range(self):

@@ -5,9 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.branch.loop import LoopPrediction
-from repro.branch.sc import SCPrediction
-from repro.branch.tage import TagePrediction
 from repro.branch.tage_sc_l import Provider, TageScLPrediction
 from repro.core import SimConfig, Simulator
 from repro.core.configs import UCPConfig
@@ -17,13 +14,12 @@ from repro.workloads import load_workload
 
 
 def make_prediction(provider, hit_ctr=0, alt_ctr=0, bimodal_ctr=0, lsum=0, loop_conf=0):
-    tage = TagePrediction()
-    tage.hit_ctr = hit_ctr
-    tage.alt_ctr = alt_ctr
-    tage.bimodal_ctr = bimodal_ctr
-    loop = LoopPrediction(True, True, True, loop_conf, 0)
-    sc = SCPrediction(lsum, lsum >= 0, [])
-    return TageScLPrediction(0x1000, True, provider, tage, loop, sc, True)
+    pred = TageScLPrediction()
+    pred.provider, pred.taken = provider, True
+    pred.hit_ctr, pred.alt_ctr, pred.bimodal_ctr = hit_ctr, alt_ctr, bimodal_ctr
+    pred.loop_confidence = loop_conf
+    pred.sc_lsum = lsum
+    return pred
 
 
 class TestConditionWeights:
@@ -184,7 +180,7 @@ class TestUCPEngine:
         engine.alt_histories.copy_from(engine.alt_bp.histories)
         a = engine.alt_bp.predict(0x5000)
         b = engine.alt_bp.predict(0x5000, histories=engine.alt_histories)
-        assert a.tage.indices == b.tage.indices
+        assert a.indices == b.indices
         engine.alt_histories.push(0x5000, True)
         c = engine.alt_bp.predict(0x5000, histories=engine.alt_histories)
-        assert c.tage.indices != a.tage.indices
+        assert c.indices != a.indices
