@@ -4,9 +4,10 @@
   of (workload, config) simulation pairs, so experiments and benchmarks
   sharing baselines never re-simulate them.  Disk entries are checksummed
   and written atomically.
-* :mod:`repro.analysis.parallel` — the parallel experiment engine:
-  schedules deduplicated pending jobs across worker processes and merges
-  results back into the caches, bit-identical to the serial path.
+* :mod:`repro.analysis.parallel` — the experiment engine: worker slots
+  fed by one priority queue, with single-flight, cancellation and one
+  failure policy, shared by CLI batches (``ParallelRunner``) and the
+  experiment server; results are bit-identical to the serial path.
 * :mod:`repro.analysis.tables` — plain-text rendering of the tables and
   figure series the experiment drivers produce.
 * :mod:`repro.analysis.plot` — terminal bar charts / sparklines / series
@@ -38,14 +39,12 @@ from repro.analysis.parallel import (
     ParallelExecutionError,
     ParallelRunner,
     SimJob,
-    run_jobs,
 )
 from repro.analysis.tables import format_series, format_table
 
 __all__ = [
     "run_cached",
     "run_suite",
-    "run_jobs",
     "clear_disk_cache",
     "clear_memory_cache",
     "cache_stats",

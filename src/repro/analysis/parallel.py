@@ -1,33 +1,53 @@
-"""Parallel experiment execution engine.
+"""The experiment engine: one set of worker slots, one queue, one failure policy.
 
-Every figure reproduction fans out dozens of independent
-``(workload, config, n_instructions)`` simulations.  :class:`ParallelRunner`
-schedules the deduplicated set of *pending* jobs (those not already in the
-in-memory or on-disk cache) across a :class:`concurrent.futures.
-ProcessPoolExecutor` and merges worker results back into both cache
-layers, so the parallel path is bit-identical to running
-:func:`repro.analysis.runner.run_cached` serially — same seeds, same
-stats — just faster on multi-core machines.  Cache lookups go through
-:func:`repro.analysis.runner.probe` and every job, in process or in a
-worker, runs :func:`repro.analysis.runner.job_entry`, the seam the
-experiment server's shards run too.
+Every figure reproduction fans out dozens of independent ``(workload,
+config, n_instructions)`` simulations, and the experiment server runs the
+same jobs for its clients.  Both run them through one :class:`Scheduler`
+design:
+
+* **Slots and one queue.**  N restartable single-worker slots (one process
+  each, or one thread in ``thread`` mode for tests) pull from one priority
+  queue, so whichever slot is free takes the next flight.  Queued flights
+  drain in ``(-priority, arrival)`` order.
+* **Single-flight.**  :meth:`Scheduler.submit` coalesces by cache key:
+  while a flight for a key is queued or running, later submits join it
+  (refcounted).  Cache hits resolve in ``submit`` through
+  :func:`repro.analysis.runner.probe` and never touch a slot.
+* **Failure policy.**  Every failure is a typed :class:`JobError` scoped
+  to its own flight.  A worker that dies mid-job gets its slot restarted
+  and the job retried with exponential backoff; when retries run out the
+  key is quarantined and later submits fail fast with ``quarantined``.  A
+  job past its per-job timeout restarts only its own slot (the worker may
+  be wedged) and fails with ``timeout``.  A job that raises fails with
+  ``internal``.
+* **Cancellation.**  Releasing the last reference to a flight cancels it:
+  a queued flight is dropped before dispatch; a running one has its slot
+  restarted.
+
+:class:`ParallelRunner` is the synchronous façade the CLI, the experiment
+drivers and :func:`repro.analysis.runner.run_suite` use.  It dedups a
+batch, probes the caches, submits the pending jobs, runs the event loop
+until they resolve and raises :class:`ParallelExecutionError` with one
+typed failure per job; the successes are cached either way.  ``jobs=1``
+(or a single pending job, or a platform without usable ``multiprocessing``
+start methods) runs the jobs in process instead — no pool, no pickling,
+identical results.  A bare :meth:`ParallelRunner.run` starts slots for its
+batch and joins them before returning; inside :func:`pool_scope` (which
+:func:`repro.experiments.registry.run_experiment` opens around every
+driver) all batches share one scheduler, so its workers keep their
+generated traces and recorded branch streams, and its quarantine, from
+batch to batch.
+
+Every job, in process or in a slot, runs
+:func:`repro.analysis.runner.job_entry`, looked up at dispatch: the seam
+test doubles and the service fault injectors patch.
 
 Worker count resolution order:
 
-1. explicit ``jobs=`` argument;
+1. explicit ``jobs=`` argument (``repro serve --shards``, ``--jobs``);
 2. the ``jobs`` of the enclosing :func:`pool_scope`;
 3. the ``REPRO_SIM_JOBS`` environment variable;
 4. ``os.cpu_count()``.
-
-``jobs=1`` (or a single pending job, or a platform without usable
-``multiprocessing`` start methods) falls back to a serial in-process loop
-— no pool, no pickling, identical results.
-
-Pool lifetime: a bare :meth:`ParallelRunner.run` starts a pool for its
-batch and shuts it down before returning.  Inside :func:`pool_scope`
-(which :func:`repro.experiments.registry.run_experiment` opens around
-every driver) all batches borrow one pool, so workers keep their
-generated traces and recorded branch streams from batch to batch.
 
 Example
 -------
@@ -40,46 +60,99 @@ Example
 
 from __future__ import annotations
 
+import asyncio
+import heapq
+import itertools
 import multiprocessing
 import os
 import threading
 import time
-from collections.abc import Iterator
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from collections.abc import Callable, Iterator
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis import runner as _runner
 from repro.common.stats import StatBlock, TimingSummary
 from repro.core.configs import SimConfig
 from repro.core.pipeline import SimResult
 from repro.observe import telemetry
+from repro.observe.telemetry import Span, SpanContext
 
 __all__ = [
-    "SimJob",
+    "ERROR_CODES",
     "EngineStats",
-    "JobTimeoutError",
+    "Flight",
+    "FlightResult",
+    "JobError",
     "ParallelExecutionError",
     "ParallelRunner",
+    "Scheduler",
+    "SimJob",
+    "WorkerSlot",
     "pool_scope",
     "resolve_job_count",
     "resolve_job_timeout",
-    "run_jobs",
 ]
 
 
-#: EngineStats counters mirrored into the telemetry registry per run
-#: (delta-based, so repeated runs accumulate process-lifetime totals).
-_MIRRORED_COUNTERS = (
-    "jobs_requested",
-    "jobs_deduped",
-    "jobs_from_memory",
-    "jobs_from_disk",
-    "jobs_simulated",
-    "jobs_failed",
-    "jobs_timed_out",
+#: Every typed failure code, shared by engine jobs and the serve protocol.
+#:
+#: * ``bad-request``   — unparsable JSON, unknown fields, bad matrix;
+#: * ``unknown-workload`` — a name in neither the suite nor the
+#:   ingested-trace store;
+#: * ``timeout``       — a job ran past the per-job timeout;
+#: * ``worker-crash``  — the worker process died (killed, segfault) and
+#:   retries were exhausted;
+#: * ``quarantined``   — the key previously crashed its workers and is
+#:   refused fast until the quarantine is cleared;
+#: * ``cache-corrupt`` — the cache tier itself failed while serving
+#:   (distinct from a corrupt *entry*, which silently re-simulates);
+#: * ``cancelled``     — the client (or a disconnect) cancelled the run;
+#: * ``overloaded``    — the server refused new work (queue bound);
+#: * ``internal``      — anything else; the detail names the exception.
+ERROR_CODES = frozenset(
+    {
+        "bad-request",
+        "unknown-workload",
+        "timeout",
+        "worker-crash",
+        "quarantined",
+        "cache-corrupt",
+        "cancelled",
+        "overloaded",
+        "internal",
+    }
 )
+
+
+class JobError(Exception):
+    """A typed failure of one job or request; maps onto one protocol
+    ``error`` line."""
+
+    def __init__(self, code: str, message: str) -> None:
+        if code not in ERROR_CODES:
+            raise ValueError(f"unknown serve error code {code!r}")
+        self.code = code
+        super().__init__(message)
+
+    def as_message(self, request_id: str | None = None) -> dict[str, Any]:
+        record: dict[str, Any] = {
+            "type": "error",
+            "code": self.code,
+            "message": str(self),
+        }
+        if request_id is not None:
+            record["id"] = request_id
+        return record
 
 
 @dataclass(frozen=True)
@@ -98,6 +171,13 @@ class SimJob:
         return f"{self.workload}@{self.n_instructions}"
 
 
+def _internal(job: SimJob, error: BaseException) -> JobError:
+    """The typed failure of a job body that raised."""
+    return JobError(
+        "internal", f"{job.describe()} failed: {type(error).__name__}: {error}"
+    )
+
+
 @dataclass
 class JobTiming:
     """Wall-clock timing of one executed (non-cache-hit) job."""
@@ -107,7 +187,7 @@ class JobTiming:
 
 
 class EngineStats:
-    """Per-run counters plus job timing / throughput accounting.
+    """Per-runner counters plus job timing / throughput accounting.
 
     ``counters`` is a :class:`repro.common.stats.StatBlock` with:
 
@@ -115,7 +195,7 @@ class EngineStats:
     * ``jobs_deduped`` — duplicates folded by single-flight keying;
     * ``jobs_from_memory`` / ``jobs_from_disk`` — cache hits;
     * ``jobs_simulated`` — jobs actually executed this run;
-    * ``jobs_failed`` — jobs whose worker raised;
+    * ``jobs_failed`` — jobs that failed, whatever the code;
     * ``jobs_timed_out`` — jobs abandoned past the per-job timeout
       (counted in ``jobs_failed`` too).
     """
@@ -150,31 +230,17 @@ class EngineStats:
 
 
 class ParallelExecutionError(RuntimeError):
-    """One or more workers failed; successful results are already cached."""
+    """One or more jobs failed; successful results are already cached.
 
-    def __init__(self, failures: list[tuple[SimJob, BaseException]]) -> None:
-        self.failures = failures
-        detail = "; ".join(
-            f"{job.describe()}: {type(error).__name__}: {error}"
-            for job, error in failures
-        )
-        super().__init__(f"{len(failures)} simulation job(s) failed: {detail}")
-
-
-class JobTimeoutError(RuntimeError):
-    """A pool job ran past its per-job timeout and was abandoned.
-
-    The worker executing it may be wedged (that is what the timeout is
-    for); the runner kills the pool's processes after draining the other
-    jobs, so a poisoned config cannot leak a hung worker past the run.
+    ``failures`` holds one ``(job, JobError)`` per failed job.
     """
 
-    def __init__(self, job: SimJob, timeout: float) -> None:
-        self.job = job
-        self.timeout = timeout
-        super().__init__(
-            f"{job.describe()} exceeded the {timeout:.1f}s per-job timeout"
+    def __init__(self, failures: list[tuple[SimJob, JobError]]) -> None:
+        self.failures = failures
+        detail = "; ".join(
+            f"{job.describe()}: [{error.code}] {error}" for job, error in failures
         )
+        super().__init__(f"{len(failures)} simulation job(s) failed: {detail}")
 
 
 def resolve_job_count(jobs: int | None = None) -> int:
@@ -213,6 +279,37 @@ def resolve_job_timeout(timeout: float | None = None) -> float | None:
     return timeout
 
 
+# -- telemetry seams (each call site pays one pointer test) -----------------
+
+
+def _count_job(outcome: str, n: int = 1) -> None:
+    tel = telemetry.maybe()
+    if tel is not None and n:
+        tel.counter(
+            "repro_sched_jobs_total",
+            "Job outcomes, served and CLI (process lifetime).",
+            labels=("outcome",),
+        ).inc(n, outcome=outcome)
+
+
+def _observe_job_seconds(seconds: float) -> None:
+    tel = telemetry.maybe()
+    if tel is not None:
+        tel.histogram(
+            "repro_sched_job_seconds",
+            "Worker wall seconds per simulated job.",
+        ).observe(seconds)
+
+
+def _record_event(ring: str, event: str, **fields: Any) -> None:
+    rec = telemetry.maybe_recorder()
+    if rec is not None:
+        rec.record(ring, event, **fields)
+
+
+# -- worker slots -----------------------------------------------------------
+
+
 def _pool_context() -> multiprocessing.context.BaseContext | None:
     """Pick a start method, preferring fork (cheap, inherits warm state)."""
     methods = multiprocessing.get_all_start_methods()
@@ -222,85 +319,19 @@ def _pool_context() -> multiprocessing.context.BaseContext | None:
     return None
 
 
-def _new_pool(
-    workers: int, context: multiprocessing.context.BaseContext
-) -> ProcessPoolExecutor:
+def _new_executor(mode: str) -> Executor:
+    """The one place the engine builds an executor: one worker, a process
+    (when the platform has a start method) or, in thread mode, a thread."""
+    context = _pool_context() if mode == "process" else None
+    if context is None:
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-slot")
     # The class is looked up at call time so callers can wrap it.
     return ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=1,
         mp_context=context,
         initializer=_worker_init,
         initargs=(os.getpid(),),
     )
-
-
-def _shutdown(pool: Executor, poisoned: bool) -> None:
-    """Join ``pool``, or kill its processes when a worker may be wedged."""
-    if not poisoned:
-        pool.shutdown(wait=True)
-        return
-    # Do not join a wedged worker.  Snapshot the process table first —
-    # the executor's management thread nulls it out during teardown.
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
-
-
-class _PoolScope:
-    """The one worker pool that every pooled batch in a scope borrows.
-
-    The pool is created by the first pooled batch at that batch's worker
-    count and replaced only when a later batch could use more workers,
-    when a timeout poisoned it, or when a worker crash broke it.
-    """
-
-    def __init__(self, jobs: int | None) -> None:
-        self.jobs = jobs
-        self.pool: ProcessPoolExecutor | None = None
-        self.workers = 0
-
-    def borrow(
-        self, workers: int, context: multiprocessing.context.BaseContext
-    ) -> ProcessPoolExecutor:
-        if self.pool is not None and (
-            workers > self.workers or getattr(self.pool, "_broken", False)
-        ):
-            self.discard(poisoned=False)
-        if self.pool is None:
-            self.pool = _new_pool(workers, context)
-            self.workers = workers
-        return self.pool
-
-    def discard(self, poisoned: bool) -> None:
-        if self.pool is not None:
-            _shutdown(self.pool, poisoned)
-        self.pool = None
-        self.workers = 0
-
-
-_scope: ContextVar[_PoolScope | None] = ContextVar("repro_pool_scope", default=None)
-
-
-@contextmanager
-def pool_scope(jobs: int | None = None) -> Iterator[None]:
-    """Share one worker pool among every :class:`ParallelRunner` batch run
-    inside the block, and shut it down on exit.
-
-    ``jobs`` is the worker count for runners built without an explicit
-    ``jobs=``.  Workers are forked when the first pooled batch starts, so
-    they see the environment as it was then.
-    """
-    scope = _PoolScope(jobs)
-    token = _scope.set(scope)
-    try:
-        yield
-    finally:
-        _scope.reset(token)
-        scope.discard(poisoned=False)
 
 
 def _worker_init(parent_pid: int) -> None:
@@ -320,18 +351,596 @@ def _worker_init(parent_pid: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-@dataclass
-class _RunState:
-    """Mutable bookkeeping for one :meth:`ParallelRunner.run` call."""
+class WorkerSlot:
+    """One execution slot: a single-worker executor, started at its first
+    job and restarted when its worker crashes, wedges or is cancelled."""
 
-    total: int
-    done: int = 0
-    results: dict[str, SimResult] = field(default_factory=dict)
-    failures: list[tuple[SimJob, BaseException]] = field(default_factory=list)
+    def __init__(self, index: int, mode: str) -> None:
+        self.index = index
+        self.mode = mode
+        #: Flight-recorder ring (and ``shard`` metric label) of this slot.
+        self.name = f"shard-{index}"
+        self.restarts = 0
+        self._pool: Executor | None = None
+
+    def submit(self, *args: Any) -> Future[_runner.JobOutput]:
+        if self._pool is None:
+            self._pool = _new_executor(self.mode)
+        return self._pool.submit(_runner.job_entry, *args)
+
+    def restart(self) -> None:
+        """Kill this slot's worker (it may be wedged); the next job starts
+        a fresh one."""
+        self.restarts += 1
+        self.close(kill=True)
+
+    def close(self, kill: bool) -> None:
+        """Join the worker, or kill it when it may be busy or wedged."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if not kill:
+            pool.shutdown(wait=True)
+            return
+        # Snapshot the process table first — the executor's management
+        # thread nulls it out during teardown.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            try:
+                process.terminate()
+            except Exception:
+                pass
+
+
+# -- the scheduler ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FlightResult:
+    """What one resolved flight hands every joined request."""
+
+    result: SimResult
+    cached: bool
+    source: str  # "memory" | "disk" | "simulated"
+    seconds: float
+    taxonomy: dict[str, Any] | None
+
+
+# Flight lifecycle states.
+_QUEUED = "queued"
+_RUNNING = "running"
+_DONE = "done"
+_CANCELLED = "cancelled"
+
+
+class Flight:
+    """One in-progress (or resolved) simulation, shared by every request
+    that asked for its key while it was alive."""
+
+    def __init__(self, job: SimJob, priority: int, timeout: float | None) -> None:
+        self.job = job
+        self.key = job.key
+        self.priority = priority
+        self.timeout = timeout
+        self.state = _QUEUED
+        self.refs = 1
+        self.future: asyncio.Future[FlightResult] = (
+            asyncio.get_running_loop().create_future()
+        )
+        #: Progress-event callbacks (one per streaming subscriber).
+        self.subscribers: list[Callable[[dict[str, Any]], None]] = []
+        #: The dispatcher's work task while running (cancellation handle).
+        self._work: asyncio.Task[Any] | None = None
+        #: Telemetry (populated only when REPRO_SIM_TELEMETRY is on): the
+        #: request's propagated trace context, this flight's ``sched.job``
+        #: span, and the enqueue timestamp for the queue-wait histogram.
+        self.trace: SpanContext | None = None
+        self.span: Span | None = None
+        self.queued_at: float | None = None
+
+    def emit(self, event: dict[str, Any]) -> None:
+        for callback in list(self.subscribers):
+            callback(event)
+
+    async def wait(self) -> FlightResult:
+        """Wait for resolution without cancelling the shared flight if
+        *this* waiter is cancelled (other requests may still want it)."""
+        return await asyncio.shield(self.future)
+
+    @property
+    def done(self) -> bool:
+        return self.state in (_DONE, _CANCELLED)
+
+
+class Scheduler:
+    """Single-flight, priority-aware job scheduler over worker slots.
+
+    Parameters
+    ----------
+    slots:
+        Worker-slot count; ``None`` resolves via :func:`resolve_job_count`.
+        Each slot owns one worker, started at its first job.
+    mode:
+        ``"process"`` (isolated workers, restartable on crash/timeout) or
+        ``"thread"`` (in-process, for tests — crashes cannot be contained
+        but everything is observable and fast).
+    observe:
+        Run jobs with the observer armed, so results carry the stall
+        taxonomy a served stream reports (the server's choice; CLI batches
+        do not need it).
+    job_timeout:
+        Per-job budget in seconds (default ``REPRO_SIM_JOB_TIMEOUT``).
+    retries:
+        Worker-crash retries per flight before the key is quarantined.
+    backoff:
+        Base of the exponential retry backoff, in seconds.
+
+    :meth:`start` runs one dispatcher per slot on the running loop and
+    :meth:`stop` ends them; the slots' workers outlive both, so one
+    scheduler can serve several event loops, until :meth:`shutdown` (or
+    :meth:`close`, which stops and kills) ends the workers.
+    """
+
+    def __init__(
+        self,
+        slots: int | None = None,
+        *,
+        mode: str = "process",
+        observe: bool = True,
+        job_timeout: float | None = None,
+        retries: int = 1,
+        backoff: float = 0.05,
+    ) -> None:
+        if mode not in ("process", "thread"):
+            raise ValueError(f"unknown slot mode {mode!r}")
+        self.mode = mode
+        self.observe = observe
+        self.job_timeout = resolve_job_timeout(job_timeout)
+        self.retries = max(0, retries)
+        self.backoff = backoff
+        self.counters = StatBlock("scheduler")
+        self.slots = [WorkerSlot(i, mode) for i in range(resolve_job_count(slots))]
+        #: ``(-priority, seq, key)`` heap of queued flight keys.
+        self._heap: list[tuple[int, int, str]] = []
+        self._flights: dict[str, Flight] = {}
+        self._quarantine: dict[str, str] = {}
+        self._seq = itertools.count()
+        self._wake: asyncio.Event | None = None
+        self._dispatchers: list[asyncio.Task[None]] = []
+        self._closing = False
+
+    # -- lifecycle ----------------------------------------------------------
+
+    async def start(self) -> None:
+        if self._dispatchers:
+            return
+        self._closing = False
+        self._wake = asyncio.Event()
+        self._dispatchers = [
+            asyncio.create_task(self._dispatch(slot), name=slot.name)
+            for slot in self.slots
+        ]
+
+    async def stop(self) -> None:
+        """End the dispatchers and cancel every unresolved flight; a slot
+        stopped mid-job has its worker killed."""
+        self._closing = True
+        for task in self._dispatchers:
+            task.cancel()
+        for task in self._dispatchers:
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+        self._dispatchers = []
+        self._wake = None
+        for flight in list(self._flights.values()):
+            if not flight.done:
+                self._finish(
+                    flight, error=JobError("cancelled", "scheduler shut down")
+                )
+        self._heap.clear()
+
+    async def close(self) -> None:
+        await self.stop()
+        self.shutdown(kill=True)
+
+    def shutdown(self, kill: bool = False) -> None:
+        """End every slot's worker: join it, or kill it."""
+        for slot in self.slots:
+            slot.close(kill)
+
+    # -- submission ---------------------------------------------------------
+
+    @property
+    def queued(self) -> int:
+        """Queued flight keys (lazily deleted entries included)."""
+        return len(self._heap)
+
+    def admit(self, job: SimJob) -> None:
+        """Refuse a quarantined key with ``quarantined``."""
+        reason = self._quarantine.get(job.key)
+        if reason is not None:
+            self.counters.add("jobs_quarantined")
+            _count_job("quarantined_reject")
+            raise JobError(
+                "quarantined", f"{job.describe()} is quarantined: {reason}"
+            )
+
+    def submit(
+        self,
+        job: SimJob,
+        *,
+        priority: int = 0,
+        timeout: float | None = None,
+        trace: SpanContext | None = None,
+        probed: bool = False,
+    ) -> Flight:
+        """Resolve-or-enqueue one job; returns its (possibly shared) flight.
+
+        ``trace`` is the requesting span's context (from the protocol's
+        ``trace`` field); a new flight opens a child ``sched.job`` span
+        under it when telemetry is on.  ``probed`` means the caller
+        (:class:`ParallelRunner`) has already counted the request and
+        missed the caches.  Raises :class:`JobError` (``quarantined`` /
+        ``cache-corrupt``) instead of enqueueing when the key is known-bad
+        or the cache tier itself fails.
+        """
+        if not probed:
+            self.counters.add("jobs_requested")
+            _count_job("requested")
+        self.admit(job)
+
+        flight = self._flights.get(job.key)
+        if flight is not None and not flight.done:
+            flight.refs += 1
+            if priority > flight.priority:
+                # Escalate: requeue under the higher priority (the heap
+                # entry for the old priority is lazily skipped).
+                flight.priority = priority
+                if flight.state == _QUEUED:
+                    self._enqueue(flight)
+                tel = telemetry.maybe()
+                if tel is not None:
+                    tel.counter(
+                        "repro_sched_escalations_total",
+                        "Queued flights whose priority was raised by a "
+                        "later request.",
+                    ).inc()
+            self.counters.add("jobs_coalesced")
+            _count_job("coalesced")
+            return flight
+
+        if not probed:
+            cached, source = self._probe_cache(job)
+            if cached is not None:
+                self.counters.add(f"jobs_from_{source}")
+                _count_job(f"from_{source}")
+                flight = Flight(job, priority, timeout)
+                flight.state = _DONE
+                flight.future.set_result(
+                    FlightResult(cached, True, source, 0.0, None)
+                )
+                return flight
+
+        flight = Flight(
+            job, priority, timeout if timeout is not None else self.job_timeout
+        )
+        flight.trace = trace
+        sink = telemetry.maybe_spans()
+        if sink is not None:
+            flight.span = sink.start_span(
+                "sched.job",
+                parent=trace,
+                attrs={"workload": job.workload, "key": job.key},
+            )
+            flight.queued_at = time.monotonic()  # lint-ok: SIM002 queue-wait telemetry
+            _record_event(
+                "queue",
+                "job-submitted",
+                key=job.key,
+                workload=job.workload,
+                priority=priority,
+            )
+        self._flights[job.key] = flight
+        self._enqueue(flight)
+        return flight
+
+    def release(self, flight: Flight) -> None:
+        """Drop one request's interest in ``flight``; the last release
+        cancels it (queued → dropped; running → worker killed)."""
+        if flight.done:
+            return
+        flight.refs -= 1
+        if flight.refs > 0:
+            return
+        if flight.state == _RUNNING and flight._work is not None:
+            flight._work.cancel()
+            return  # the dispatcher finishes the cancellation
+        self._finish(
+            flight,
+            error=JobError("cancelled", f"{flight.job.describe()} cancelled"),
+        )
+
+    def clear_quarantine(self, key: str | None = None) -> int:
+        """Forget quarantined keys (all of them when ``key`` is None)."""
+        if key is not None:
+            return 1 if self._quarantine.pop(key, None) is not None else 0
+        count = len(self._quarantine)
+        self._quarantine.clear()
+        return count
+
+    def stats(self) -> dict[str, Any]:
+        return {
+            "counters": self.counters.as_dict(),
+            "shards": len(self.slots),
+            "mode": self.mode,
+            "queued": self.queued,
+            "in_flight": sum(
+                1 for f in self._flights.values() if f.state == _RUNNING
+            ),
+            "restarts": sum(slot.restarts for slot in self.slots),
+            "quarantined": sorted(self._quarantine),
+        }
+
+    # -- internals ----------------------------------------------------------
+
+    def _probe_cache(self, job: SimJob) -> tuple[SimResult | None, str]:
+        try:
+            return _runner.probe(job.key)
+        except Exception as error:
+            self.counters.add("cache_errors")
+            raise JobError(
+                "cache-corrupt",
+                f"cache read for {job.describe()} failed: "
+                f"{type(error).__name__}: {error}",
+            ) from error
+
+    def _set_queue_gauge(self) -> None:
+        tel = telemetry.maybe()
+        if tel is not None:
+            tel.gauge(
+                "repro_sched_queue_depth",
+                "Queued flights (lazily deleted heap entries included).",
+            ).set(len(self._heap))
+
+    def _enqueue(self, flight: Flight) -> None:
+        heapq.heappush(self._heap, (-flight.priority, next(self._seq), flight.key))
+        self._set_queue_gauge()
+        if self._wake is not None:
+            self._wake.set()
+
+    def _next_flight(self) -> Flight | None:
+        """Pop the best queued flight, skipping cancelled, resolved and
+        escalated-duplicate entries."""
+        while self._heap:
+            _, _, key = heapq.heappop(self._heap)
+            flight = self._flights.get(key)
+            if flight is not None and flight.state == _QUEUED:
+                self._set_queue_gauge()
+                return flight
+        self._set_queue_gauge()
+        return None
+
+    def _finish(
+        self,
+        flight: Flight,
+        outcome: FlightResult | None = None,
+        error: JobError | None = None,
+    ) -> None:
+        if flight.done:
+            return
+        cancelled = error is not None and error.code == "cancelled"
+        flight.state = _CANCELLED if cancelled else _DONE
+        if self._flights.get(flight.key) is flight:
+            del self._flights[flight.key]
+        if flight.span is not None:
+            sink = telemetry.maybe_spans()
+            if sink is not None:
+                sink.finish(
+                    flight.span,
+                    outcome="error" if error is not None else "ok",
+                    code=None if error is None else error.code,
+                )
+            flight.span = None
+        if not flight.future.done():
+            if error is not None:
+                if cancelled:
+                    self.counters.add("jobs_cancelled")
+                flight.future.set_exception(error)
+            else:
+                assert outcome is not None
+                flight.future.set_result(outcome)
+        # A consumed exception that nobody awaits must not warn at GC.
+        if error is not None:
+            flight.future.exception()
+
+    async def _dispatch(self, slot: WorkerSlot) -> None:
+        """One slot's loop: take the best queued flight, run it, resolve it."""
+        assert self._wake is not None
+        while True:
+            flight = self._next_flight()
+            if flight is None:
+                self._wake.clear()
+                await self._wake.wait()
+                continue
+            await self._execute(slot, flight)
+
+    async def _execute(self, slot: WorkerSlot, flight: Flight) -> None:
+        flight.state = _RUNNING
+        tel = telemetry.maybe()
+        if tel is not None and flight.queued_at is not None:
+            tel.histogram(
+                "repro_sched_queue_wait_seconds",
+                "Seconds a flight waited in the queue before dispatch.",
+            ).observe(time.monotonic() - flight.queued_at)  # lint-ok: SIM002 queue-wait telemetry
+        _record_event(
+            slot.name, "job-started", key=flight.key, workload=flight.job.workload
+        )
+        flight.emit(
+            {"event": "job-started", "key": flight.key, "workload": flight.job.workload}
+        )
+        work = asyncio.ensure_future(self._run_flight(slot, flight))
+        flight._work = work
+        try:
+            outcome = await work
+        except asyncio.CancelledError:
+            # Either the scheduler is stopping or the last release()
+            # cancelled the flight.  The worker may still be crunching:
+            # kill it so the slot is free for the next job.
+            if self._closing:
+                slot.close(kill=True)
+                raise
+            slot.restart()
+            _count_job("cancelled")
+            _record_event(slot.name, "job-cancelled", key=flight.key)
+            self._finish(
+                flight,
+                error=JobError("cancelled", f"{flight.job.describe()} cancelled"),
+            )
+        except JobError as error:
+            self.counters.add("jobs_failed")
+            _count_job("failed")
+            _record_event(
+                slot.name,
+                "job-failed",
+                key=flight.key,
+                code=error.code,
+                detail=str(error),
+            )
+            self._finish(flight, error=error)
+        else:
+            self.counters.add("jobs_simulated")
+            _count_job("simulated")
+            _observe_job_seconds(outcome.seconds)
+            _record_event(
+                slot.name,
+                "job-finished",
+                key=flight.key,
+                workload=flight.job.workload,
+                seconds=round(outcome.seconds, 6),
+            )
+            self._finish(flight, outcome)
+
+    async def _run_flight(self, slot: WorkerSlot, flight: Flight) -> FlightResult:
+        """Execute one flight on a slot: timeout, retry, quarantine."""
+        job = flight.job
+        timeout = flight.timeout
+        trace_wire = (
+            flight.span.context.as_wire() if flight.span is not None else None
+        )
+        attempt = 0
+        while True:
+            pool_future = slot.submit(
+                job.workload, job.config, job.n_instructions, self.observe, trace_wire
+            )
+            self.counters.add("pool_dispatches")
+            try:
+                result, seconds, taxonomy, worker_spans = await asyncio.wait_for(
+                    asyncio.wrap_future(pool_future), timeout
+                )
+            except asyncio.TimeoutError:
+                pool_future.cancel()
+                slot.restart()  # the worker is presumed wedged
+                self.counters.add("jobs_timed_out")
+                _count_job("timed_out")
+                self._note_restart(slot, "timeout", job)
+                raise JobError(
+                    "timeout",
+                    f"{job.describe()} exceeded the "
+                    f"{timeout:.1f}s per-job timeout",
+                ) from None
+            except BrokenExecutor as error:
+                slot.restart()
+                attempt += 1
+                if attempt > self.retries:
+                    reason = f"worker died ({type(error).__name__})"
+                    self._quarantine[job.key] = reason
+                    self.counters.add("jobs_crashed")
+                    _count_job("crashed")
+                    _record_event(
+                        slot.name, "job-quarantined", key=job.key, reason=reason
+                    )
+                    self._note_restart(slot, "worker-crash", job)
+                    raise JobError(
+                        "worker-crash",
+                        f"{job.describe()}: {reason} after "
+                        f"{attempt} attempt(s); key quarantined",
+                    ) from error
+                self.counters.add("worker_retries")
+                _count_job("retried")
+                _record_event(slot.name, "job-retry", key=job.key, attempt=attempt)
+                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
+            except Exception as error:  # the job itself raised
+                raise _internal(job, error) from error
+            else:
+                result = _runner._memory_cache.setdefault(job.key, result)
+                _runner.record_spans(worker_spans)
+                return FlightResult(result, False, "simulated", seconds, taxonomy)
+
+    def _note_restart(self, slot: WorkerSlot, reason: str, job: SimJob) -> None:
+        """Slot-restart telemetry: labeled counter, ring event, crash dump.
+
+        Called *after* the restart on the crash/timeout paths — exactly
+        the moments the flight recorder exists for, so the slot's ring
+        (ending with this job's final events) is dumped to an artifact.
+        """
+        tel = telemetry.maybe()
+        if tel is not None:
+            tel.counter(
+                "repro_sched_restarts_total",
+                "Worker-slot restarts by slot and reason.",
+                labels=("shard", "reason"),
+            ).inc(shard=str(slot.index), reason=reason)
+        _record_event(slot.name, "shard-restart", reason=reason, key=job.key)
+        rec = telemetry.maybe_recorder()
+        if rec is not None:
+            rec.dump(slot.name, reason)
+
+
+# -- the synchronous façade -------------------------------------------------
+
+
+class _Scope:
+    """What :func:`pool_scope` shares: its worker count and, from the first
+    pooled batch on, its scheduler."""
+
+    def __init__(self, jobs: int | None) -> None:
+        self.jobs = jobs
+        self.scheduler: Scheduler | None = None
+
+
+_scope: ContextVar[_Scope | None] = ContextVar("repro_pool_scope", default=None)
+
+
+@contextmanager
+def pool_scope(jobs: int | None = None) -> Iterator[None]:
+    """Keep one scheduler's worker slots alive across every
+    :class:`ParallelRunner` batch run inside the block, and join them on
+    exit.
+
+    ``jobs`` is the worker count for runners built without an explicit
+    ``jobs=``; the scheduler takes the slot count of the first pooled
+    batch.  Workers are forked when a slot runs its first job, so they see
+    the environment as it was then.  A key quarantined by one batch is
+    refused fast by the later ones.
+    """
+    scope = _Scope(jobs)
+    token = _scope.set(scope)
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+        if scope.scheduler is not None:
+            scope.scheduler.shutdown()
+
+
+_Settle = Callable[[SimJob, FlightResult | JobError], None]
 
 
 class ParallelRunner:
-    """Schedules deduplicated simulation jobs across worker processes.
+    """Resolves deduplicated simulation jobs through the engine.
 
     Parameters
     ----------
@@ -341,23 +950,21 @@ class ParallelRunner:
         Optional callback ``progress(done, total, job)`` invoked in the
         parent process as each job resolves (from cache or from a worker).
     job_timeout:
-        Per-job wall-clock budget in seconds, measured from dispatch to
-        the pool; ``None`` resolves via :func:`resolve_job_timeout`
+        Per-job wall-clock budget in seconds, measured from dispatch to a
+        slot; ``None`` resolves via :func:`resolve_job_timeout`
         (``REPRO_SIM_JOB_TIMEOUT``, default: no timeout).  A job past its
-        budget fails with :class:`JobTimeoutError` while the remaining
-        jobs finish; the pool's processes are then killed rather than
-        joined, so a wedged worker cannot hang the run.  The serial
-        (``jobs=1``) fallback cannot interrupt an in-process simulation
-        and ignores the timeout.
+        budget fails with code ``timeout`` and only its slot is restarted
+        while the remaining jobs finish.  The in-process path cannot
+        interrupt a simulation and ignores the timeout.
 
-    Outside :func:`pool_scope` each pooled :meth:`run` starts and shuts
-    down its own pool; inside one it borrows the scope's pool.
+    Outside :func:`pool_scope` each pooled :meth:`run` starts and joins
+    its own slots; inside one it uses the scope's scheduler.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        progress=None,
+        progress: Callable[[int, int, SimJob], None] | None = None,
         job_timeout: float | None = None,
     ) -> None:
         self.jobs = resolve_job_count(jobs)
@@ -365,216 +972,128 @@ class ParallelRunner:
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.stats = EngineStats()
 
-    # -- public API --------------------------------------------------------
-
     def run(self, jobs: list[SimJob]) -> dict[str, SimResult]:
         """Resolve every job, returning ``{cache_key: SimResult}``.
 
         Cache hits are returned directly; the remaining unique jobs are
-        simulated (in parallel when ``self.jobs > 1``) and merged into the
-        in-memory and on-disk caches.  If any worker fails, the successes
-        are still cached and a :class:`ParallelExecutionError` is raised.
+        simulated (in worker slots when ``self.jobs > 1``) and merged into
+        the in-memory cache (the job body stores them on disk).  If any
+        job fails, the successes are still cached and a
+        :class:`ParallelExecutionError` is raised.
         """
         start = time.perf_counter()  # lint-ok: SIM002 wall-clock telemetry for run reports
-        before = {name: self.stats.counters[name] for name in _MIRRORED_COUNTERS}
-        timings_before = len(self.stats.timings)
+        counters = self.stats.counters
+        results: dict[str, SimResult] = {}
+        failures: list[tuple[SimJob, JobError]] = []
+        # Single-flight dedup: two figures requesting the same key in one
+        # batch (or the same key twice in one suite) simulate once.
+        unique = {job.key: job for job in jobs}
+
+        def resolve(job: SimJob, result: SimResult) -> None:
+            results[job.key] = result
+            if self.progress is not None:
+                self.progress(len(results), len(unique), job)
+
+        def settle(job: SimJob, outcome: FlightResult | JobError) -> None:
+            if isinstance(outcome, JobError):
+                counters.add("jobs_failed")
+                if outcome.code == "timeout":
+                    counters.add("jobs_timed_out")
+                failures.append((job, outcome))
+            else:
+                counters.add("jobs_simulated")
+                self.stats.timings.append(JobTiming(job, outcome.seconds))
+                resolve(job, outcome.result)
+
         try:
-            self.stats.counters.add("jobs_requested", len(jobs))
-
-            # Single-flight dedup: two figures requesting the same key in one
-            # batch (or the same key twice in one suite) simulate once.
-            unique: dict[str, SimJob] = {}
-            for job in jobs:
-                if job.key in unique:
-                    self.stats.counters.add("jobs_deduped")
-                else:
-                    unique[job.key] = job
-
-            state = _RunState(total=len(unique))
+            counters.add("jobs_requested", len(jobs))
+            _count_job("requested", len(jobs))
+            if len(jobs) > len(unique):
+                counters.add("jobs_deduped", len(jobs) - len(unique))
+                _count_job("coalesced", len(jobs) - len(unique))
             pending: list[SimJob] = []
             for key, job in unique.items():
                 cached, tier = _runner.probe(key)
                 if cached is None:
                     pending.append(job)
                 else:
-                    self.stats.counters.add(f"jobs_from_{tier}")
-                    self._resolve(state, job, cached)
-
-            if pending:
-                context = _pool_context()
-                if self._effective_workers(len(pending)) == 1 or context is None:
-                    self._run_serial(state, pending)
-                else:
-                    self._run_pool(state, pending, context)
+                    counters.add(f"jobs_from_{tier}")
+                    _count_job(f"from_{tier}")
+                    resolve(job, cached)
+            if min(self.jobs, len(pending)) > 1 and _pool_context() is not None:
+                self._run_on_slots(pending, settle)
+            else:
+                self._run_serial(pending, settle)
         finally:
             self.stats.wall_seconds += time.perf_counter() - start  # lint-ok: SIM002 timing telemetry
-            self._mirror_telemetry(before, timings_before)
 
-        if state.failures:
-            raise ParallelExecutionError(state.failures)
-        return state.results
+        if failures:
+            raise ParallelExecutionError(failures)
+        return results
 
-    def _mirror_telemetry(
-        self, before: dict[str, int], timings_before: int
-    ) -> None:
-        """Mirror this run's counter deltas into the telemetry registry.
-
-        The per-run :class:`EngineStats` StatBlock stays authoritative
-        (and deterministic); the registry gets process-lifetime totals so
-        ``repro serve --metrics-port`` / ``repro top`` can see the engine
-        without reaching into runner objects.
-        """
-        tel = telemetry.maybe()
-        if tel is None:
-            return
-        family = tel.counter(
-            "repro_engine_jobs_total",
-            "ParallelRunner job outcomes (process lifetime).",
-            labels=("outcome",),
-        )
-        for name in _MIRRORED_COUNTERS:
-            delta = self.stats.counters[name] - before[name]
-            if delta > 0:
-                family.inc(delta, outcome=name.removeprefix("jobs_"))
-        seconds = tel.histogram(
-            "repro_engine_job_seconds",
-            "Wall seconds per executed (non-cache-hit) engine job.",
-        )
-        for timing in self.stats.timings[timings_before:]:
-            seconds.observe(timing.seconds)
-
-    # -- internals ---------------------------------------------------------
-
-    def _effective_workers(self, n_pending: int) -> int:
-        return min(self.jobs, n_pending)
-
-    def _resolve(self, state: _RunState, job: SimJob, result: SimResult) -> None:
-        state.results[job.key] = result
-        state.done += 1
-        if self.progress is not None:
-            self.progress(state.done, state.total, job)
-
-    def _merge(self, state: _RunState, job: SimJob, output: _runner.JobOutput) -> None:
-        """Account for one finished job and merge its result into memory
-        (the job body has already stored it on disk)."""
-        result, seconds, _taxonomy, spans = output
-        self.stats.counters.add("jobs_simulated")
-        self.stats.timings.append(JobTiming(job, seconds))
-        _runner.record_spans(spans)
-        result = _runner._memory_cache.setdefault(job.key, result)
-        self._resolve(state, job, result)
-
-    def _fail(self, state: _RunState, job: SimJob, error: BaseException) -> None:
-        self.stats.counters.add("jobs_failed")
-        state.failures.append((job, error))
-
-    def _run_serial(self, state: _RunState, pending: list[SimJob]) -> None:
-        """In-process fallback: identical semantics, no pool overhead."""
+    def _run_serial(self, pending: list[SimJob], settle: _Settle) -> None:
+        """In-process path: identical semantics, no pool overhead."""
+        scope = _scope.get()
+        scheduler = None if scope is None else scope.scheduler
         for job in pending:
             try:
-                output = _runner.job_entry(job.workload, job.config, job.n_instructions)
-            except Exception as error:
-                self._fail(state, job, error)
-            else:
-                self._merge(state, job, output)
-
-    def _run_pool(
-        self,
-        state: _RunState,
-        pending: list[SimJob],
-        context: multiprocessing.context.BaseContext,
-    ) -> None:
-        workers = self._effective_workers(len(pending))
-        timeout = self.job_timeout
-        scope = _scope.get()
-        if scope is None:
-            pool = _new_pool(workers, context)
-        else:
-            pool = scope.borrow(workers, context)
-        poisoned = False
-        drained = False
-        try:
-            # Submit at most ``workers`` jobs at a time so a dispatched
-            # future starts executing immediately — that makes "time since
-            # dispatch" the right clock for the per-job timeout.
-            queue = list(reversed(pending))
-            futures: dict = {}
-            deadlines: dict = {}
-            # Futures still in flight, insertion-ordered (dispatch order).
-            outstanding: dict = {}
-
-            def submit_next() -> None:
-                job = queue.pop()
-                future = pool.submit(
-                    _runner.job_entry, job.workload, job.config, job.n_instructions
+                if scheduler is not None:
+                    scheduler.admit(job)
+                result, seconds, taxonomy, spans = _runner.job_entry(
+                    job.workload, job.config, job.n_instructions
                 )
-                futures[future] = job
-                outstanding[future] = None
-                if timeout is not None:
-                    deadlines[future] = time.monotonic() + timeout  # lint-ok: SIM002 timeout deadline bookkeeping
+            except JobError as error:
+                settle(job, error)
+            except Exception as error:
+                _count_job("failed")
+                settle(job, _internal(job, error))
+            else:
+                _count_job("simulated")
+                _observe_job_seconds(seconds)
+                _runner.record_spans(spans)
+                result = _runner._memory_cache.setdefault(job.key, result)
+                settle(job, FlightResult(result, False, "simulated", seconds, taxonomy))
 
-            while queue and len(outstanding) < workers:
-                submit_next()
-            while outstanding:
-                if timeout is not None:
-                    slack = min(deadlines[f] for f in outstanding) - time.monotonic()  # lint-ok: SIM002 timeout deadline bookkeeping
-                    completed, _ = wait(
-                        list(outstanding),
-                        timeout=max(slack, 0.0),
-                        return_when=FIRST_COMPLETED,
-                    )
-                else:
-                    completed, _ = wait(
-                        list(outstanding), return_when=FIRST_COMPLETED
-                    )
-                if not completed and timeout is not None:
-                    now = time.monotonic()  # lint-ok: SIM002 timeout deadline bookkeeping
-                    for future in [
-                        f for f in outstanding if deadlines.get(f, 0.0) <= now
-                    ]:
-                        if future.done():
-                            continue  # finished at the wire: next wait() returns it
-                        # Running (or queued behind a wedged worker) —
-                        # either way it missed its budget: abandon it.  The
-                        # hung process is killed after the loop drains.
-                        future.cancel()
-                        outstanding.pop(future, None)
-                        poisoned = True
-                        job = futures[future]
-                        self.stats.counters.add("jobs_timed_out")
-                        self._fail(state, job, JobTimeoutError(job, timeout))
-                        if queue:
-                            submit_next()
-                for future in sorted(completed, key=lambda f: futures[f].key):
-                    outstanding.pop(future, None)
-                    deadlines.pop(future, None)
-                    job = futures[future]
-                    try:
-                        output = future.result()
-                    except Exception as error:
-                        self._fail(state, job, error)
-                    else:
-                        self._merge(state, job, output)
-                    if queue:
-                        submit_next()
-            drained = True
+    def _run_on_slots(self, pending: list[SimJob], settle: _Settle) -> None:
+        scope = _scope.get()
+        scheduler = None if scope is None else scope.scheduler
+        if scheduler is None:
+            scheduler = Scheduler(self.jobs, observe=False)
+            if scope is not None:
+                scope.scheduler = scheduler
+        try:
+            asyncio.run(self._drain(scheduler, pending, settle))
         finally:
             if scope is None:
-                _shutdown(pool, poisoned)
-            elif poisoned or not drained:
-                # A wedged worker, or futures still in flight: the next
-                # batch must not inherit either.
-                scope.discard(poisoned)
+                scheduler.shutdown()
 
-
-def run_jobs(
-    jobs: list[SimJob],
-    *,
-    workers: int | None = None,
-    progress=None,
-    job_timeout: float | None = None,
-) -> dict[str, SimResult]:
-    """One-shot convenience wrapper around :class:`ParallelRunner`."""
-    return ParallelRunner(
-        jobs=workers, progress=progress, job_timeout=job_timeout
-    ).run(jobs)
+    async def _drain(
+        self, scheduler: Scheduler, pending: list[SimJob], settle: _Settle
+    ) -> None:
+        """Submit every pending job and settle each as it resolves."""
+        await scheduler.start()
+        try:
+            waiting: dict[asyncio.Future[FlightResult], SimJob] = {}
+            for job in pending:
+                try:
+                    flight = scheduler.submit(
+                        job, timeout=self.job_timeout, probed=True
+                    )
+                except JobError as error:
+                    settle(job, error)
+                else:
+                    waiting[flight.future] = job
+            while waiting:
+                done, _ = await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED
+                )
+                for future in sorted(done, key=lambda f: waiting[f].key):
+                    job = waiting.pop(future)
+                    try:
+                        outcome = future.result()
+                    except JobError as error:
+                        settle(job, error)
+                    else:
+                        settle(job, outcome)
+        finally:
+            await scheduler.stop()

@@ -16,7 +16,7 @@ Every path to a result goes through the same two functions here:
   the same traffic whichever path served it.
 * :func:`run_job` — the job body for a miss: load (only an entry another
   process stored since the probe), or load the workload, simulate and
-  store.  ``run_cached`` calls it directly; the two engines run it
+  store.  ``run_cached`` calls it directly; the engine runs it
   through the :func:`job_entry` seam, which tests and fault injectors
   patch.
 
@@ -261,7 +261,7 @@ def run_job(
     spans as plain dicts under ``trace_wire`` (a
     :meth:`SpanContext.as_wire` dict; None starts a new trace).  The spans
     are built in a job-local sink, so no telemetry object crosses a
-    pickle boundary and a thread-mode shard cannot record them twice; the
+    pickle boundary and a thread-mode slot cannot record them twice; the
     caller records them with :func:`record_spans`.
     """
     start = time.perf_counter()  # lint-ok: SIM002 job timing telemetry, never touches results
@@ -311,12 +311,12 @@ def job_entry(
     observe: bool = False,
     trace_wire: dict[str, Any] | None = None,
 ) -> JobOutput:
-    """The worker seam: what ``ParallelRunner`` and the scheduler's shards
+    """The worker seam: what ``ParallelRunner`` and the scheduler's slots
     run for each job, in process or in a pool worker.
 
-    Both engines look it up on this module when they dispatch, and a
+    The engine looks it up on this module when it dispatches, and a
     process pool pickles it by name, so a test double or fault injector
-    patched over it reaches serial runs, thread shards and pool workers
+    patched over it reaches serial runs, thread slots and pool workers
     alike (a double sent to a process pool must be a module-level
     function).  Doubles call :func:`run_job` for the real work.
     """
@@ -387,8 +387,8 @@ def run_suite(
 
     ``jobs`` overrides the worker count (default: see
     :func:`repro.analysis.parallel.resolve_job_count`); inside
-    :func:`repro.analysis.parallel.pool_scope` the batch borrows the
-    scope's worker pool.  ``progress`` is an optional
+    :func:`repro.analysis.parallel.pool_scope` the batch runs on the
+    scope's worker slots.  ``progress`` is an optional
     ``(done, total, job)`` callback.  Results are bit-identical to calling
     :func:`run_cached` serially for each workload.
     """

@@ -45,13 +45,13 @@ Commands
 ``serve``
     Run the asyncio experiment server (:mod:`repro.serve`): NDJSON
     requests over a local TCP socket, single-flight deduplication across
-    clients, sharded worker pools, streamed progress events.
+    clients, worker slots fed by one queue, streamed progress events.
     ``--metrics-port N`` additionally serves the telemetry registry as
     Prometheus text on ``http://HOST:N/metrics`` (and JSON on
     ``/metrics.json``) when ``REPRO_SIM_TELEMETRY=1``.
 ``top``
     Live terminal dashboard over a running server's ``status`` verb:
-    scheduler counters, queue/shard health, cache state, and the
+    scheduler counters, queue/slot health, cache state, and the
     telemetry metric families (``--once`` prints a single frame,
     ``--json`` dumps the raw status).
 ``ingest inspect|convert|characterize``
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         metavar="N",
-        help="worker shards (default: REPRO_SERVE_SHARDS or a core heuristic)",
+        help="worker slots (default: REPRO_SIM_JOBS or the CPU count)",
     )
     serve.add_argument(
         "--mode",
@@ -287,8 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-pending",
         type=int,
         metavar="N",
-        help="refuse new requests past this queue depth "
-        "(default: REPRO_SERVE_MAX_PENDING or 1024)",
+        help="refuse new requests past this queue depth (default: 1024)",
     )
     serve.add_argument(
         "--metrics-port",

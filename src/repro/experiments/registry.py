@@ -51,9 +51,10 @@ def run_experiment(name: str, scale=None, *, jobs: int | None = None):
     """Run one registered experiment and return ``(result, rendered_text)``.
 
     ``scale`` defaults to QUICK.  Every engine batch inside the driver
-    borrows one worker pool (:func:`repro.analysis.parallel.pool_scope`),
-    which is shut down before this returns; ``jobs`` (when given) is that
-    scope's worker count.
+    runs on one scheduler's worker slots
+    (:func:`repro.analysis.parallel.pool_scope`), which are shut down
+    before this returns; ``jobs`` (when given) is that scope's worker
+    count.
     """
     from repro.analysis.parallel import pool_scope
     from repro.experiments.common import QUICK

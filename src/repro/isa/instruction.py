@@ -71,8 +71,9 @@ class TraceEntry:
     """One dynamic instruction as recorded in a trace.
 
     ``target`` is the *actual* control-flow destination when ``taken`` is
-    true.  For not-taken conditional branches and non-branches it is the
-    fall-through PC, so ``next_pc`` is always well defined.
+    true.  For not-taken conditional branches and non-branches it is 0, as
+    in generated, normalized and golden traces; ``next_pc`` derives the
+    fall-through PC for those rows.
     """
 
     pc: int

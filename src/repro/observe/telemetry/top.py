@@ -27,7 +27,6 @@ _TOP_FAMILIES = (
     "repro_cache_hits_total",
     "repro_cache_misses_total",
     "repro_cache_evictions_total",
-    "repro_engine_jobs_total",
 )
 
 

@@ -7,12 +7,12 @@
 * :mod:`repro.serve.protocol` — the NDJSON wire protocol: experiment-matrix
   requests, typed error codes, and the normalization that maps a request
   onto exactly the cache keys ``runner.py`` would use;
-* :mod:`repro.serve.scheduler` — the async scheduler: sharded worker
-  pools, per-request priority and cancellation, cross-client
-  single-flight, retry-with-backoff, per-job timeouts, and worker-crash
-  quarantine;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio
-  front door (``repro serve``) and the matching async client;
+  front door (``repro serve``) and the matching async client; the
+  server runs its jobs on the engine's :class:`~repro.analysis.parallel.
+  Scheduler` — worker slots fed by one priority queue, cross-client
+  single-flight, cancellation, per-job timeouts, crash retry and
+  quarantine — the same one CLI batches use;
 * :mod:`repro.serve.eviction` / :mod:`repro.serve.snapshot` — cache
   lifecycle for service life: byte/entry-bounded LRU eviction and the
   warm-start index snapshot.
@@ -22,13 +22,11 @@ See ``docs/SERVICE.md`` for the protocol and failure semantics.
 
 from repro.serve.client import ServeClient, ServeRequestError
 from repro.serve.protocol import PROTOCOL_VERSION, ServeError
-from repro.serve.scheduler import Scheduler
 from repro.serve.server import ExperimentServer
 
 __all__ = [
     "PROTOCOL_VERSION",
     "ExperimentServer",
-    "Scheduler",
     "ServeClient",
     "ServeError",
     "ServeRequestError",

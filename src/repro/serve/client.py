@@ -128,7 +128,7 @@ class ServeClient:
         With ``REPRO_SIM_TELEMETRY`` on, the request opens a
         ``client.run`` root span and propagates its context in the
         protocol ``trace`` field, so the served job is traceable
-        client → server → shard → worker as one connected span tree.
+        client → server → slot → worker as one connected span tree.
         """
         rid = request_id if request_id is not None else f"r{next(self._ids)}"
         matrix: dict[str, Any] = {"workloads": list(workloads)}

@@ -15,7 +15,7 @@ lifecycle:
 
 Two protections keep eviction safe under concurrency:
 
-* **in-flight registry** — the scheduler registers keys it is currently
+* **in-flight registry** — the server registers keys it is currently
   simulating or serving (:func:`protect` / :func:`unprotect`); those keys
   are never evicted, in any process that shares the registry;
 * **write grace window** — entries younger than ``min_age_seconds`` are
@@ -58,8 +58,8 @@ __all__ = [
 #: worker in another process) to read it back and merge it.
 DEFAULT_GRACE_SECONDS = 30.0
 
-#: Keys currently in flight somewhere in this process (scheduler jobs,
-#: requests being served).  Guarded by :data:`_protect_lock`.
+#: Keys currently in flight somewhere in this process (jobs of requests
+#: being served).  Guarded by :data:`_protect_lock`.
 _PROTECTED: dict[str, int] = {}
 _protect_lock = threading.Lock()
 

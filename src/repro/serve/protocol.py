@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.parallel import SimJob
+from repro.analysis.parallel import ERROR_CODES, JobError, SimJob
 from repro.core.configs import config_from_spec
 from repro.core.pipeline import SimResult
 from repro.observe.telemetry import SpanContext
@@ -61,54 +61,10 @@ PROTOCOL_VERSION = 2
 #: Hard cap on one NDJSON line (requests are small; results are summaries).
 MAX_LINE_BYTES = 1 << 20
 
-#: Every error code the server can attach to an ``error`` message.
-#:
-#: * ``bad-request``   — unparsable JSON, unknown fields, bad matrix;
-#: * ``unknown-workload`` — a name in neither the suite nor the
-#:   ingested-trace store;
-#: * ``timeout``       — a job ran past the per-job timeout;
-#: * ``worker-crash``  — the worker process died (killed, segfault) and
-#:   retries were exhausted;
-#: * ``quarantined``   — the key previously crashed its workers and is
-#:   refused fast until the quarantine is cleared;
-#: * ``cache-corrupt`` — the cache tier itself failed while serving
-#:   (distinct from a corrupt *entry*, which silently re-simulates);
-#: * ``cancelled``     — the client (or a disconnect) cancelled the run;
-#: * ``overloaded``    — the server refused new work (queue bound);
-#: * ``internal``      — anything else; the detail names the exception.
-ERROR_CODES = frozenset(
-    {
-        "bad-request",
-        "unknown-workload",
-        "timeout",
-        "worker-crash",
-        "quarantined",
-        "cache-corrupt",
-        "cancelled",
-        "overloaded",
-        "internal",
-    }
-)
-
-
-class ServeError(Exception):
-    """A typed service failure that maps onto one protocol ``error`` line."""
-
-    def __init__(self, code: str, message: str) -> None:
-        if code not in ERROR_CODES:
-            raise ValueError(f"unknown serve error code {code!r}")
-        self.code = code
-        super().__init__(message)
-
-    def as_message(self, request_id: str | None = None) -> dict[str, Any]:
-        record: dict[str, Any] = {
-            "type": "error",
-            "code": self.code,
-            "message": str(self),
-        }
-        if request_id is not None:
-            record["id"] = request_id
-        return record
+#: The one typed failure of a job or request, shared with the engine: it
+#: maps onto one protocol ``error`` line with a code from
+#: :data:`ERROR_CODES`.
+ServeError = JobError
 
 
 def encode_message(message: dict[str, Any]) -> bytes:

@@ -1,12 +1,12 @@
 """The asyncio experiment server: NDJSON over a local TCP socket.
 
-One :class:`ExperimentServer` owns a :class:`~repro.serve.scheduler.
-Scheduler` and listens on localhost.  Each connection multiplexes any
-number of concurrent ``run`` requests; each request expands to jobs via
-the protocol normalizer, submits them (single-flight across *all*
-connections), streams progress events when asked, and reports per-job
-``result`` / ``error`` lines as flights resolve, closing with one
-``done`` line.
+One :class:`ExperimentServer` owns a :class:`~repro.analysis.parallel.
+Scheduler` (the engine's worker slots and queue) and listens on
+localhost.  Each connection multiplexes any number of concurrent ``run``
+requests; each request expands to jobs via the protocol normalizer,
+submits them (single-flight across *all* connections), streams progress
+events when asked, and reports per-job ``result`` / ``error`` lines as
+flights resolve, closing with one ``done`` line.
 
 Failure scoping is per request: a job that times out, crashes its
 worker, or hits a corrupt cache tier produces a typed ``error`` for its
@@ -19,15 +19,15 @@ client shares the flight.
 from __future__ import annotations
 
 import asyncio
-import os
 from collections.abc import Callable
 from typing import Any
 
 from repro.analysis import runner as _runner
-from repro.analysis.parallel import SimJob
+from repro.analysis.parallel import Flight, Scheduler, SimJob
 from repro.observe import stream as _stream
 from repro.observe import telemetry
 from repro.observe.telemetry.httpd import MetricsEndpoint
+from repro.serve import eviction
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -38,25 +38,12 @@ from repro.serve.protocol import (
     parse_run_request,
     result_summary,
 )
-from repro.serve.scheduler import Flight, Scheduler
 from repro.serve.snapshot import load_index
 
-__all__ = ["ExperimentServer", "resolve_max_pending"]
+__all__ = ["ExperimentServer"]
 
-
-def resolve_max_pending(max_pending: int | None = None) -> int:
-    """Queue bound: explicit arg > ``REPRO_SERVE_MAX_PENDING`` > 1024."""
-    if max_pending is not None and max_pending > 0:
-        return max_pending
-    raw = os.environ.get("REPRO_SERVE_MAX_PENDING", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return 1024
+#: Default queue bound of ``repro serve`` (``--max-pending``).
+DEFAULT_MAX_PENDING = 1024
 
 
 class _Connection:
@@ -80,10 +67,12 @@ class ExperimentServer:
         Bring your own (tests); default builds one from the remaining
         keyword arguments.
     shards, mode, job_timeout:
-        Forwarded to :class:`~repro.serve.scheduler.Scheduler`.
+        The scheduler's worker-slot count (resolved like every engine
+        worker count: explicit, then ``REPRO_SIM_JOBS``, then the CPU
+        count), slot mode and per-job timeout.
     max_pending:
         Refuse new ``run`` requests (``overloaded``) while this many
-        flights are already queued.
+        flights are already queued (default 1024).
     metrics_port:
         When not None, also bind a telemetry HTTP endpoint (``/metrics``
         Prometheus text, ``/metrics.json``, ``/healthz``) on this port
@@ -109,7 +98,9 @@ class ExperimentServer:
         self.scheduler = scheduler or Scheduler(
             shards, mode=mode, job_timeout=job_timeout
         )
-        self.max_pending = resolve_max_pending(max_pending)
+        self.max_pending = (
+            max_pending if max_pending and max_pending > 0 else DEFAULT_MAX_PENDING
+        )
         self.metrics_port = metrics_port
         self.log = log
         self._server: asyncio.AbstractServer | None = None
@@ -293,7 +284,7 @@ class ExperimentServer:
             else None
         )
         try:
-            queued = sum(len(shard.heap) for shard in self.scheduler.shards)
+            queued = self.scheduler.queued
             if queued >= self.max_pending:
                 raise ServeError(
                     "overloaded",
@@ -311,6 +302,7 @@ class ExperimentServer:
                     trace=None if request_span is None else request_span.context,
                 )
                 flights.append((job, flight))
+                eviction.protect(flight.key)
             await self._send(
                 conn,
                 {
@@ -364,6 +356,7 @@ class ExperimentServer:
                     pass
             for _job, flight in flights:
                 self.scheduler.release(flight)
+                eviction.unprotect(flight.key)
 
     def _subscribe(
         self, conn: _Connection, request_id: str, flight: Flight

@@ -4,14 +4,14 @@ The PR 2 registry (:mod:`repro.verify.faults`) proves the *simulator*
 catches model bugs; this registry proves the *service* layer
 (:mod:`repro.serve`) contains operational failures.  Each
 :class:`ServiceFault` patches one seam — the worker job entry
-(:func:`repro.analysis.runner.job_entry`, which a process shard receives
+(:func:`repro.analysis.runner.job_entry`, which a process slot receives
 by name, so its doubles are module-level functions) or the cache read
 path — then the harness runs a real server with two concurrent client
 requests:
 
 * the **victim** request exercises the fault and must fail *cleanly*
   with the expected typed protocol error code;
-* the **healthy** request shares the server (and possibly the shard) and
+* the **healthy** request shares the server (and its one queue) and
   must still complete — failure scoping is the property under test.
 
 Faults with a ``followup_code`` get a third request after the failure to
@@ -76,7 +76,7 @@ class ServiceFault:
     expected_code: str
     #: Returns the context manager installing the failure.
     inject: Callable[[], object]
-    #: Scheduler shard mode the fault needs (process isolation for
+    #: Scheduler slot mode the fault needs (process isolation for
     #: worker-death faults; thread mode is faster where containment is
     #: not what the fault exercises).
     mode: str = "thread"
@@ -161,7 +161,7 @@ def _slow_entry(workload: str, config: SimConfig, n_instructions: int, *args):
 
 def _inject_slow_worker():
     """The victim's worker wedges (infinite loop semantics): the job must
-    time out, the worker be killed, and the shard keep scheduling."""
+    time out, the worker be killed, and the slot keep scheduling."""
     return _patched_attr(_runner, "job_entry", _slow_entry)
 
 
@@ -170,7 +170,7 @@ _register(
         name="slow-worker",
         description="worker wedges on the victim job: the per-job timeout "
         "fires, the worker is killed, the request fails with timeout and "
-        "the shard stays schedulable",
+        "the slot stays schedulable",
         expected_code="timeout",
         inject=_inject_slow_worker,
         mode="process",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from repro.isa.trace import Trace
 from repro.workloads.behaviors import (
@@ -34,6 +35,9 @@ from repro.workloads.behaviors import (
     Pattern,
 )
 from repro.workloads.cfg import BasicBlock, Function, Program, TerminatorKind
+
+#: The forward-branch behaviour kinds, in ``_forward_mixes`` order.
+_FORWARD_KINDS = ("biased", "pattern", "correlated", "h2p")
 
 #: Base of the synthetic code address space.
 CODE_BASE = 0x0010_0000
@@ -104,6 +108,41 @@ class ProgramGenerator:
         self.config = config
         self.rng = random.Random(config.seed)
         self._levels = self._assign_levels()
+        # Cumulative weights for the per-block draws, summed once here:
+        # ``Random.choices`` bisects them exactly as it bisects the sums it
+        # would otherwise rebuild from raw weights on every call.
+        kinds = [
+            (TerminatorKind.COND, config.cond_weight),
+            (TerminatorKind.JUMP, config.jump_weight),
+            (TerminatorKind.INDIRECT, config.indirect_weight),
+            (TerminatorKind.FALLTHROUGH, config.fallthrough_weight),
+        ]
+        # Split call weight 4:1 between direct and indirect calls.
+        calls = [
+            (TerminatorKind.CALL, config.call_weight * 0.8),
+            (TerminatorKind.CALL_INDIRECT, config.call_weight * 0.2),
+        ]
+        self._terminators = {
+            can_call: (tuple(kind for kind, _ in mix), list(accumulate(w for _, w in mix)))
+            for can_call, mix in ((False, kinds), (True, kinds + calls))
+        }
+        # Request handlers (hot code) draw from the full mixture, including
+        # the data-dependent hard-to-predict branches datacenter profiles
+        # attribute to request-processing logic; deeper library-style code
+        # is overwhelmingly biased.
+        hot = [
+            config.biased_fraction,
+            config.pattern_fraction,
+            config.correlated_fraction,
+            config.h2p_fraction,
+        ]
+        deep = [
+            config.biased_fraction + config.correlated_fraction + config.h2p_fraction,
+            config.pattern_fraction,
+            0.0,
+            0.0,
+        ]
+        self._forward_mixes = (list(accumulate(hot)), list(accumulate(deep)))
 
     def _assign_levels(self) -> list[list[int]]:
         """Partition functions 1..N-1 into contiguous index ranges per level."""
@@ -219,19 +258,8 @@ class ProgramGenerator:
         return min(size, 24)
 
     def _pick_terminator(self, can_call: bool) -> TerminatorKind:
-        config, rng = self.config, self.rng
-        kinds = [
-            (TerminatorKind.COND, config.cond_weight),
-            (TerminatorKind.JUMP, config.jump_weight),
-            (TerminatorKind.INDIRECT, config.indirect_weight),
-            (TerminatorKind.FALLTHROUGH, config.fallthrough_weight),
-        ]
-        if can_call:
-            # Split call weight 4:1 between direct and indirect calls.
-            kinds.append((TerminatorKind.CALL, config.call_weight * 0.8))
-            kinds.append((TerminatorKind.CALL_INDIRECT, config.call_weight * 0.2))
-        names, weights = zip(*kinds)
-        return rng.choices(names, weights)[0]
+        names, cum_weights = self._terminators[can_call]
+        return self.rng.choices(names, cum_weights=cum_weights)[0]
 
     def _cond_block(
         self, size: int, block_index: int, n_blocks: int, level: int = 0
@@ -267,27 +295,7 @@ class ProgramGenerator:
 
     def _forward_behavior(self, level: int = 0) -> BranchBehavior:
         config, rng = self.config, self.rng
-        if level <= 0:
-            # Request handlers (hot code): the full mixture, including the
-            # data-dependent hard-to-predict branches datacenter profiles
-            # attribute to request-processing logic.
-            weights = [
-                config.biased_fraction,
-                config.pattern_fraction,
-                config.correlated_fraction,
-                config.h2p_fraction,
-            ]
-        else:
-            # Deeper library-style code: overwhelmingly biased branches.
-            weights = [
-                config.biased_fraction
-                + config.correlated_fraction
-                + config.h2p_fraction,
-                config.pattern_fraction,
-                0.0,
-                0.0,
-            ]
-        choice = rng.choices(["biased", "pattern", "correlated", "h2p"], weights)[0]
+        choice = rng.choices(_FORWARD_KINDS, cum_weights=self._forward_mixes[level > 0])[0]
         if choice == "biased":
             bias = rng.uniform(config.bias_low, config.bias_high)
             if level > 0:

@@ -686,15 +686,14 @@ class TestSelfCheck:
 
     def test_known_suppressions_are_the_telemetry_sites(self):
         report = LintEngine().lint_paths([REPO / "src"])
-        # Wall-clock telemetry + timeout-deadline bookkeeping in
-        # parallel.py (5), the job body's timing in analysis/runner.py (2),
-        # queue timing in serve/scheduler.py (2), the eviction
+        # Wall-clock run telemetry and queue timing in parallel.py (4),
+        # the job body's timing in analysis/runner.py (2), the eviction
         # grace-window clock in serve/eviction.py (1), and the
         # span/flight-recorder timestamps in observe/telemetry (4).  The
         # SIM009/SIM010 lint-ok comments added with the interprocedural
         # pass are effect cuts: they remove the effect before any finding
         # is generated, so they do not increment this counter.
-        assert report.suppressed == 14
+        assert report.suppressed == 11
 
     def test_finding_ordering_is_total(self):
         a = Finding("a.py", 1, 1, "SIM001", "x")

@@ -17,13 +17,11 @@ import pytest
 
 import repro.analysis.runner as runner
 from repro.analysis.parallel import (
-    JobTimeoutError,
     ParallelExecutionError,
     ParallelRunner,
     SimJob,
     resolve_job_count,
     resolve_job_timeout,
-    run_jobs,
 )
 from repro.core import SimConfig
 
@@ -220,13 +218,6 @@ class TestSpeedup:
         assert parallel_seconds < serial_seconds
 
 
-class TestRunJobsHelper:
-    def test_run_jobs_wrapper(self, fresh_cache):
-        job = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
-        results = run_jobs([job], workers=1)
-        assert results[job.key].name == "fp_01"
-
-
 def _wedged_execute(workload, config, n_instructions, *args):
     """Module-level (picklable) stand-in for ``runner.job_entry`` that
     wedges on one workload — pool workers resolve it by qualified name."""
@@ -266,7 +257,7 @@ class TestJobTimeout:
         assert len(failures) == 1
         job, error = failures[0]
         assert job.key == wedged.key
-        assert isinstance(error, JobTimeoutError)
+        assert error.code == "timeout"
         assert "per-job timeout" in str(error)
         assert engine.stats.counters["jobs_timed_out"] == 1
         # The healthy job completed and is cached: a retry is a pure hit.
@@ -313,10 +304,11 @@ class TestCacheCounters:
 @pytest.fixture()
 def counting_pool(monkeypatch):
     """Swap the engine's pool class for one that logs constructions and
-    shutdowns; returns the log."""
+    shutdowns; returns the log.  Each worker slot builds its own
+    single-worker pool, so the log counts slot starts."""
     import repro.analysis.parallel as parallel
 
-    log = {"created": [], "shutdowns": 0}
+    log = {"created": [], "shutdowns": []}
 
     class CountingPool(parallel.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -324,7 +316,7 @@ def counting_pool(monkeypatch):
             log["created"].append(self)
 
         def shutdown(self, *args, **kwargs):
-            log["shutdowns"] += 1
+            log["shutdowns"].append(self)
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
@@ -370,11 +362,12 @@ class TestPoolScope:
         _register(monkeypatch, run)
         result, _ = run_experiment("stub", self._scale(), jobs=2)
         assert [sorted(batch) for batch in result] == [sorted(self.SCALE_WORKLOADS)] * 3
-        assert len(counting_pool["created"]) == 1
-        assert counting_pool["shutdowns"] == 1
+        # Two slots, each started once for all three batches.
+        assert len(counting_pool["created"]) == 2
+        assert set(counting_pool["shutdowns"]) == set(counting_pool["created"])
         assert multiprocessing.active_children() == []
 
-    def test_timeout_replaces_the_pool(self, fresh_cache, counting_pool, monkeypatch):
+    def test_timeout_replaces_only_the_wedged_slot(self, fresh_cache, counting_pool, monkeypatch):
         import multiprocessing
 
         from repro.experiments.registry import run_experiment
@@ -387,17 +380,20 @@ class TestPoolScope:
         def run(scale):
             with pytest.raises(ParallelExecutionError) as excinfo:
                 ParallelRunner(job_timeout=1.5).run([good, wedged])
-            assert isinstance(excinfo.value.failures[0][1], JobTimeoutError)
-            first = counting_pool["created"][0]
-            return first, ParallelRunner().run(later)
+            assert excinfo.value.failures[0][1].code == "timeout"
+            # Both slots started; only the wedged one was killed.
+            started = list(counting_pool["created"])
+            killed = list(counting_pool["shutdowns"])
+            return started, killed, ParallelRunner().run(later)
 
         _register(monkeypatch, run)
         start = time.perf_counter()
-        (first, results), _ = run_experiment("stub", jobs=2)
+        (started, killed, results), _ = run_experiment("stub", jobs=2)
         assert time.perf_counter() - start < 30.0
         assert set(results) == {job.key for job in later}
-        assert len(counting_pool["created"]) == 2
-        assert counting_pool["created"][1] is not first
+        assert len(started) == 2 and len(killed) == 1 and killed[0] in started
+        # The later batch ran on the surviving slot and one replacement.
+        assert len(counting_pool["created"]) == 3
         assert multiprocessing.active_children() == []
 
     def test_bare_runs_start_and_stop_their_own_pool(self, fresh_cache, counting_pool):
@@ -408,8 +404,15 @@ class TestPoolScope:
                 [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in names]
             )
             assert multiprocessing.active_children() == []
-        assert len(counting_pool["created"]) == 2
-        assert counting_pool["shutdowns"] == 2
+        # Two slots per batch, each started and joined within its batch.
+        assert len(counting_pool["created"]) == 4
+        assert set(counting_pool["shutdowns"]) == set(counting_pool["created"])
+
+    def test_one_worker_or_one_pending_job_starts_no_pool(self, fresh_cache, counting_pool):
+        jobs = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("fp_01", "int_02")]
+        ParallelRunner(jobs=1).run(jobs)
+        ParallelRunner(jobs=2).run([SimJob("crypto_02", SimConfig(), N_INSTRUCTIONS)])
+        assert counting_pool["created"] == []
 
     def test_jobs_reach_runners_without_touching_environ(self, fresh_cache, monkeypatch):
         from repro import cli
@@ -439,3 +442,107 @@ class TestPoolScope:
             runner._memory_cache.clear()
             rendered.append(run_experiment("fig10", scale, jobs=jobs)[1])
         assert rendered[0] == rendered[1]
+
+
+#: The test process; a crash double must never exit it.
+_TEST_PID = os.getpid()
+
+
+def _crashing_entry(workload, config, n_instructions, *args):
+    """Module-level stand-in for ``runner.job_entry`` whose worker process
+    dies on one workload.  Each attempt is logged under the cache
+    directory first, so the test can count attempts across processes."""
+    if workload == "int_02":
+        log = os.path.join(os.environ["REPRO_SIM_CACHE_DIR"], "attempts.log")
+        with open(log, "a") as handle:
+            handle.write(f"{workload}\n")
+        if os.getpid() == _TEST_PID:
+            raise RuntimeError("the crashing job ran in the test process")
+        os._exit(17)
+    return runner.run_job(workload, config, n_instructions, *args)
+
+
+def _crash_attempts(cache_dir):
+    log = cache_dir / "attempts.log"
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+class TestWorkerCrash:
+    def test_crash_is_retried_typed_and_quarantined(self, fresh_cache, monkeypatch):
+        from repro.analysis.parallel import pool_scope
+
+        monkeypatch.setattr(runner, "job_entry", _crashing_entry)
+        names = ("fp_01", "int_02", "srv_02", "crypto_02", "srv_05", "dc_interp_01")
+        batch = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in names]
+        victim = batch[1]
+        with pool_scope(2):
+            engine = ParallelRunner()
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                engine.run(batch)
+            [(job, error)] = excinfo.value.failures
+            assert job.key == victim.key and error.code == "worker-crash"
+            assert _crash_attempts(fresh_cache) == 2  # the first try and one retry
+            # Every other job completed and is on disk.
+            assert engine.stats.counters["jobs_simulated"] == len(batch) - 1
+            stored = {path.stem for path in fresh_cache.glob("*.pkl")}
+            assert stored == {job.key for job in batch if job is not victim}
+            assert runner.verify_disk_cache() == {"ok": len(batch) - 1, "corrupt": []}
+
+            # The next batch in the scope refuses the key without a worker.
+            later = SimJob("int_01", SimConfig(), N_INSTRUCTIONS)
+            start = time.perf_counter()
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                ParallelRunner().run([victim, later])
+            assert time.perf_counter() - start < 30.0
+            [(job, error)] = excinfo.value.failures
+            assert job.key == victim.key and error.code == "quarantined"
+            assert _crash_attempts(fresh_cache) == 2
+            assert runner.verify_disk_cache()["ok"] == len(batch)
+
+
+class TestOneQueue:
+    def test_free_slot_takes_jobs_whatever_their_key(self, fresh_cache, monkeypatch):
+        """Three jobs whose keys share the blocked job's key parity still
+        run on the other slot while the blocker holds its own."""
+        import asyncio
+        import threading
+
+        from repro.analysis.parallel import Scheduler
+        from repro.workloads import SUITE as ALL_WORKLOADS
+
+        release = threading.Event()
+        blocker = SimJob("srv_02", SimConfig(), N_INSTRUCTIONS)
+        parity = int(blocker.key, 16) % 2
+        others = [
+            job
+            for job in (SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in sorted(ALL_WORKLOADS))
+            if job.key != blocker.key and int(job.key, 16) % 2 == parity
+        ][:3]
+        assert len(others) == 3
+
+        def blocking(workload, config, n_instructions, *args):
+            if workload == blocker.workload:
+                release.wait(60.0)
+            return runner.run_job(workload, config, n_instructions, *args)
+
+        monkeypatch.setattr(runner, "job_entry", blocking)
+
+        async def scenario():
+            scheduler = Scheduler(2, mode="thread")
+            await scheduler.start()
+            try:
+                held = scheduler.submit(blocker)
+                while scheduler.stats()["in_flight"] < 1:
+                    await asyncio.sleep(0.01)
+                flights = [scheduler.submit(job) for job in others]
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*(flight.wait() for flight in flights)), 30.0
+                )
+                assert not held.done
+                return outcomes
+            finally:
+                release.set()
+                await scheduler.close()
+
+        outcomes = asyncio.run(scenario())
+        assert [outcome.source for outcome in outcomes] == ["simulated"] * 3

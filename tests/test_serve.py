@@ -473,8 +473,7 @@ class TestControlPlane:
 
 class TestOneJobBody:
     def test_run_cached_engine_and_scheduler_agree(self, fresh_cache, monkeypatch):
-        from repro.analysis.parallel import ParallelRunner, SimJob
-        from repro.serve.scheduler import Scheduler
+        from repro.analysis.parallel import ParallelRunner, Scheduler, SimJob
 
         job = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
         outputs = []
@@ -485,7 +484,7 @@ class TestOneJobBody:
             outputs.append(output)
             return output
 
-        # In-process bodies are recorded here; the process shard's body
+        # In-process bodies are recorded here; the process slot's body
         # runs in its own worker and reports through the flight.
         monkeypatch.setattr(runner, "run_job", recording)
 
@@ -494,7 +493,7 @@ class TestOneJobBody:
             runner._memory_cache.clear()
 
         async def serve():
-            scheduler = Scheduler(shards=1, mode="process")
+            scheduler = Scheduler(1, mode="process")
             await scheduler.start()
             try:
                 return await scheduler.submit(job).wait()

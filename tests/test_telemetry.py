@@ -443,20 +443,24 @@ class TestBitIdentity:
         assert off == on
 
     @pytest.mark.parametrize(
-        "run",
+        "run, queued",
         [
-            lambda names: {
-                name: runner.run_cached(name, SimConfig(), N_INSTRUCTIONS)
-                for name in names
-            },
-            lambda names: runner.run_suite(names, SimConfig(), N_INSTRUCTIONS, jobs=1),
-            lambda names: runner.run_suite(names, SimConfig(), N_INSTRUCTIONS, jobs=2),
+            (
+                lambda names: {
+                    name: runner.run_cached(name, SimConfig(), N_INSTRUCTIONS)
+                    for name in names
+                },
+                0,
+            ),
+            (lambda names: runner.run_suite(names, SimConfig(), N_INSTRUCTIONS, jobs=1), 0),
+            (lambda names: runner.run_suite(names, SimConfig(), N_INSTRUCTIONS, jobs=2), 2),
         ],
         ids=["run_cached", "run_suite_in_process", "run_suite_pool"],
     )
-    def test_cli_results_identical_on_vs_off(self, tmp_path, run):
+    def test_cli_results_identical_on_vs_off(self, tmp_path, run, queued):
         # CLI paths, in process and in pool workers: on records each job's
-        # worker spans, off records nothing.
+        # worker spans (plus, for jobs queued for a worker slot, the
+        # scheduler's sched.job span), off records nothing.
         workloads = ["fp_01", "int_02"]
         runs = {}
         for override in (None, "1"):
@@ -480,7 +484,9 @@ class TestBitIdentity:
                     runner._memory_cache.clear()
         assert runs[None][0] == runs["1"][0]
         assert runs[None][1] == []
-        assert runs["1"][1] == ["runner.simulate"] * 2 + ["worker.job"] * 2
+        assert runs["1"][1] == (
+            ["runner.simulate"] * 2 + ["sched.job"] * queued + ["worker.job"] * 2
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +576,11 @@ class TestCrashDump:
         assert payload["shard"] == "shard-0"
         assert payload["reason"] == "worker-crash"
         events = [(e["event"], e.get("key")) for e in payload["events"]]
-        # The ring ends with the crashed job's final events, in order.
+        # A queued job has no slot yet: its submission is in the queue's
+        # ring, and the slot's ring ends with its final events, in order.
+        queue = telemetry.recorder().events("queue")
+        assert ("job-submitted", key) in [(e["event"], e.get("key")) for e in queue]
         for expected in (
-            ("job-submitted", key),
             ("job-started", key),
             ("job-retry", key),
             ("job-quarantined", key),
