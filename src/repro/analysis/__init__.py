@@ -4,10 +4,12 @@
   of (workload, config) simulation pairs, so experiments and benchmarks
   sharing baselines never re-simulate them.  Disk entries are checksummed
   and written atomically.
-* :mod:`repro.analysis.parallel` — the experiment engine: worker slots
-  fed by one priority queue, with single-flight, cancellation and one
-  failure policy, shared by CLI batches (``ParallelRunner``) and the
-  experiment server; results are bit-identical to the serial path.
+* :mod:`repro.analysis.scheduler` — the experiment engine's core: worker
+  slots fed by one priority queue, with single-flight, cancellation and
+  one failure policy, shared by CLI batches and the experiment server.
+* :mod:`repro.analysis.parallel` — its synchronous façade for CLI
+  batches (``ParallelRunner``, ``pool_scope``); results are
+  bit-identical to the serial path.
 * :mod:`repro.analysis.tables` — plain-text rendering of the tables and
   figure series the experiment drivers produce.
 * :mod:`repro.analysis.plot` — terminal bar charts / sparklines / series

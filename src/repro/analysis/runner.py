@@ -386,7 +386,7 @@ def run_suite(
     """Run several workloads under one config, in parallel when possible.
 
     ``jobs`` overrides the worker count (default: see
-    :func:`repro.analysis.parallel.resolve_job_count`); inside
+    :class:`repro.analysis.parallel.ParallelRunner`); inside
     :func:`repro.analysis.parallel.pool_scope` the batch runs on the
     scope's worker slots.  ``progress`` is an optional
     ``(done, total, job)`` callback.  Results are bit-identical to calling

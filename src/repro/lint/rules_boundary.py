@@ -3,7 +3,7 @@ submits) and SIM013 (wall-clock/RNG effects feeding StatBlock counters).
 
 Both consume the interprocedural effect pass: SIM012 follows the
 ``unpicklable-capture`` effect into `ProcessPoolExecutor.submit` call
-sites (the engine's worker slots in `repro.analysis.parallel`), and SIM013
+sites (the engine's worker slots in `repro.analysis.scheduler`), and SIM013
 re-proves — statically, project-wide — the determinism contract that the
 pinned result digests check dynamically: nothing derived from host time
 or global RNG may reach a simulated counter.
@@ -108,7 +108,7 @@ asyncio primitives, live sockets, and telemetry handles
 with an opaque `TypeError: cannot pickle` at runtime or — worse —
 smuggle loop-bound state into a worker process.  Job entries must be
 module-level functions and payloads must be plain data (the SimJob /
-dict shapes `repro.analysis.parallel` already uses).  Lambdas and nested functions cannot be pickled at all."""
+dict shapes `repro.analysis.scheduler` already uses).  Lambdas and nested functions cannot be pickled at all."""
     bad_example = """\
 from concurrent.futures import ProcessPoolExecutor
 

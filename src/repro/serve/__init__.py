@@ -9,7 +9,7 @@
   onto exactly the cache keys ``runner.py`` would use;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio
   front door (``repro serve``) and the matching async client; the
-  server runs its jobs on the engine's :class:`~repro.analysis.parallel.
+  server runs its jobs on the engine's :class:`~repro.analysis.scheduler.
   Scheduler` — worker slots fed by one priority queue, cross-client
   single-flight, cancellation, per-job timeouts, crash retry and
   quarantine — the same one CLI batches use;

@@ -16,7 +16,7 @@ A ``run`` request names an experiment matrix::
 The matrix is normalized through :func:`repro.core.configs.
 config_from_spec` — the same normalizer behind the CLI flags — and
 expanded to the cross product of workloads × configs as
-:class:`~repro.analysis.parallel.SimJob` instances, so a served request
+:class:`~repro.analysis.scheduler.SimJob` instances, so a served request
 and a CLI run spelling the same experiment share exactly the same result
 cache keys.
 
@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.parallel import ERROR_CODES, JobError, SimJob
+from repro.analysis.scheduler import ERROR_CODES, JobError, SimJob
 from repro.core.configs import config_from_spec
 from repro.core.pipeline import SimResult
 from repro.observe.telemetry import SpanContext

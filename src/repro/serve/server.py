@@ -1,6 +1,6 @@
 """The asyncio experiment server: NDJSON over a local TCP socket.
 
-One :class:`ExperimentServer` owns a :class:`~repro.analysis.parallel.
+One :class:`ExperimentServer` owns a :class:`~repro.analysis.scheduler.
 Scheduler` (the engine's worker slots and queue) and listens on
 localhost.  Each connection multiplexes any number of concurrent ``run``
 requests; each request expands to jobs via the protocol normalizer,
@@ -23,7 +23,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.analysis import runner as _runner
-from repro.analysis.parallel import Flight, Scheduler, SimJob
+from repro.analysis.scheduler import Flight, Scheduler, SimJob
 from repro.observe import stream as _stream
 from repro.observe import telemetry
 from repro.observe.telemetry.httpd import MetricsEndpoint

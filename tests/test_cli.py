@@ -217,7 +217,7 @@ class TestLintCommand:
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
         qnames = {entry["qname"] for entry in payload["functions"]}
-        assert "repro.analysis.parallel.Scheduler.submit" in qnames
+        assert "repro.analysis.scheduler.Scheduler.submit" in qnames
         assert payload["edges"]
 
     def test_callgraph_out_written_even_with_findings(self, tmp_path, capsys):

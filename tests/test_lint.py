@@ -686,8 +686,9 @@ class TestSelfCheck:
 
     def test_known_suppressions_are_the_telemetry_sites(self):
         report = LintEngine().lint_paths([REPO / "src"])
-        # Wall-clock run telemetry and queue timing in parallel.py (4),
-        # the job body's timing in analysis/runner.py (2), the eviction
+        # Wall-clock run telemetry in parallel.py (2), queue timing in
+        # scheduler.py (2), the job body's timing in analysis/runner.py (2),
+        # the eviction
         # grace-window clock in serve/eviction.py (1), and the
         # span/flight-recorder timestamps in observe/telemetry (4).  The
         # SIM009/SIM010 lint-ok comments added with the interprocedural

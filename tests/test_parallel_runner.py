@@ -334,6 +334,30 @@ def _register(monkeypatch, run, render=lambda result: "done"):
     )
 
 
+def _within(seconds, fn, *args):
+    """Call ``fn`` on a thread (in this context, so a pool scope carries
+    over) and return its result; an engine that hangs fails the test
+    instead of stalling the suite."""
+    import contextvars
+    import threading
+
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(call,), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the engine hung for {seconds:.0f}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 class TestPoolScope:
     SCALE_WORKLOADS = ("fp_01", "int_02")
 
@@ -395,6 +419,48 @@ class TestPoolScope:
         # The later batch ran on the surviving slot and one replacement.
         assert len(counting_pool["created"]) == 3
         assert multiprocessing.active_children() == []
+
+    def test_idle_worker_killed_between_batches_is_replaced(self, fresh_cache, counting_pool):
+        import multiprocessing
+        import signal
+
+        from repro.analysis.parallel import pool_scope
+
+        first = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("fp_01", "int_02")]
+        second = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("crypto_02", "srv_02")]
+        with pool_scope(2):
+            ParallelRunner().run(first)
+            pools = list(counting_pool["created"])
+            assert pools
+            for pool in pools:
+                for process in list(pool._processes.values()):
+                    os.kill(process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while not all(pool._broken for pool in pools):
+                assert time.monotonic() < deadline, "the pools never noticed the kill"
+                time.sleep(0.05)
+            results = _within(60.0, ParallelRunner().run, second)
+        assert set(results) == {job.key for job in second}
+        assert multiprocessing.active_children() == []
+
+    def test_slot_that_cannot_start_a_worker_fails_its_jobs(self, fresh_cache, monkeypatch):
+        import repro.analysis.parallel as parallel
+
+        class NoFork(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", NoFork)
+        jobs = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("fp_01", "int_02")]
+
+        def run():
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                ParallelRunner(jobs=2).run(jobs)
+            return excinfo.value.failures
+
+        failures = _within(60.0, run)
+        assert sorted(job.key for job, _ in failures) == sorted(job.key for job in jobs)
+        assert {error.code for _, error in failures} == {"internal"}
 
     def test_bare_runs_start_and_stop_their_own_pool(self, fresh_cache, counting_pool):
         import multiprocessing
@@ -546,3 +612,36 @@ class TestOneQueue:
 
         outcomes = asyncio.run(scenario())
         assert [outcome.source for outcome in outcomes] == ["simulated"] * 3
+
+
+class TestDispatcherSurvives:
+    def test_engine_error_fails_only_its_flight(self, fresh_cache, monkeypatch):
+        """An error outside the job body (here: merging its spans) fails
+        that flight with ``internal``; the slot's dispatcher lives on and
+        runs the next flight."""
+        import asyncio
+
+        from repro.analysis.parallel import JobError, Scheduler
+
+        calls = []
+
+        def record_spans(spans):
+            calls.append(spans)
+            if len(calls) == 1:
+                raise RuntimeError("span sink broke")
+
+        monkeypatch.setattr(runner, "record_spans", record_spans)
+        first, second = (SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in ("fp_01", "int_02"))
+
+        async def scenario():
+            scheduler = Scheduler(1, mode="thread")
+            await scheduler.start()
+            try:
+                with pytest.raises(JobError) as excinfo:
+                    await asyncio.wait_for(scheduler.submit(first).wait(), 30.0)
+                assert excinfo.value.code == "internal"
+                return await asyncio.wait_for(scheduler.submit(second).wait(), 30.0)
+            finally:
+                await scheduler.close()
+
+        assert asyncio.run(scenario()).source == "simulated"
