@@ -51,6 +51,7 @@ from repro.core.configs import SimConfig
 from repro.core.pipeline import SimResult, Simulator, simulate
 from repro.observe import telemetry
 from repro.observe.telemetry import SpanContext, SpanSink
+from repro.workloads.store import cache_token
 from repro.workloads.suite import load_workload
 
 #: Bump to invalidate previously cached simulation results.  v5 introduced
@@ -85,23 +86,40 @@ def _cache_dir() -> Path:
     return Path(os.environ.get("REPRO_SIM_CACHE_DIR", ".simcache"))
 
 
+#: ``id(config) -> (config, repr(config) encoded)`` for recently keyed
+#: config objects, so the jobs of one matrix serialise their shared config
+#: once.  An entry holds its config, so the id cannot be reused while the
+#: entry lives; the table is cleared when it fills.
+_config_reprs: dict[int, tuple[SimConfig, bytes]] = {}
+_CONFIG_REPRS_MAX = 64
+
+
+def _config_repr(config: SimConfig) -> bytes:
+    entry = _config_reprs.get(id(config))
+    if entry is not None and entry[0] is config:
+        return entry[1]
+    encoded = repr(config).encode()
+    if len(_config_reprs) >= _CONFIG_REPRS_MAX:
+        _config_reprs.clear()
+    _config_reprs[id(config)] = (config, encoded)
+    return encoded
+
+
 def cache_key(workload: str, n_instructions: int, config: SimConfig) -> str:
     """Stable content key for one (workload, config, length) simulation.
 
+    The sha256 of ``v{CACHE_VERSION}|{token}|{n_instructions}|{config!r}``.
     Built-in suite workloads are keyed by name (their traces are
     deterministic functions of the committed generator), so existing
     cached results stay valid.  Ingested traces are keyed by
     ``name@digest`` — the content token from the trace store — so the
     key tracks the actual trace bytes, not just the label.
     """
-    from repro.workloads.store import cache_token
-
-    blob = f"v{CACHE_VERSION}|{cache_token(workload)}|{n_instructions}|{config!r}"
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
-# Backwards-compatible private alias (pre-engine callers used _cache_key).
-_cache_key = cache_key
+    digest = hashlib.sha256(
+        f"v{CACHE_VERSION}|{cache_token(workload)}|{n_instructions}|".encode()
+    )
+    digest.update(_config_repr(config))
+    return digest.hexdigest()[:32]
 
 
 def _entry_path(key: str) -> Path:

@@ -33,6 +33,7 @@ façade the CLI and the experiment drivers use is
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import itertools
 import multiprocessing
@@ -119,13 +120,19 @@ class JobError(Exception):
 
 @dataclass(frozen=True)
 class SimJob:
-    """One unit of work: simulate ``workload`` under ``config``."""
+    """One unit of work: simulate ``workload`` under ``config``.
+
+    ``key`` is the job's result-cache key, computed at its first read and
+    kept for the job's life: dedup, quarantine, single-flight, the cache
+    probe and the reply all read that one value.  A job built after an
+    ingested trace is re-registered gets the new trace's key.
+    """
 
     workload: str
     config: SimConfig
     n_instructions: int = 40_000
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
         return _runner.cache_key(self.workload, self.n_instructions, self.config)
 

@@ -40,6 +40,7 @@ from pathlib import Path
 
 from repro.isa.errors import TraceFormatError
 from repro.isa.trace import Trace
+from repro.workloads.suite import SUITE
 
 __all__ = [
     "IngestedWorkload",
@@ -188,8 +189,6 @@ def ingest_trace(
     here — the store only ever holds simulator-ready streams).
     """
     _validate_name(name)
-    from repro.workloads.suite import SUITE
-
     if name in SUITE:
         raise ValueError(
             f"name {name!r} shadows a built-in suite workload; pick another"
@@ -237,10 +236,14 @@ def cache_token(name: str) -> str:
     """Result-cache identity for workload ``name``.
 
     Built-in suite workloads are identified by name alone (their traces
-    are deterministic functions of the committed generator).  Ingested
-    traces append the content digest, so the cache key tracks the actual
-    trace bytes.
+    are deterministic functions of the committed generator), without
+    reading the manifest: :func:`ingest_trace` refuses suite names and
+    :func:`~repro.workloads.suite.load_workload` resolves the suite first.
+    Ingested traces append the content digest, so the cache key tracks the
+    actual trace bytes.
     """
+    if name in SUITE:
+        return name
     meta = resolve_meta(name)
     if meta is None:
         return name

@@ -17,6 +17,22 @@ class TestRunner:
         assert a is not b
         assert a.window != b.window
 
+    def test_cache_keys_are_pinned(self):
+        """Keys stay byte-identical, so every existing disk entry stays a
+        hit; the second call reads the shared config's serialised form."""
+        from repro.analysis.runner import CACHE_VERSION, cache_key
+        from repro.core.configs import config_from_spec
+
+        assert CACHE_VERSION == 7
+        assert cache_key("fp_01", 5_000, SimConfig()) == (
+            "7f5ab7c054cc97b32746446c3b594df9"
+        )
+        config = config_from_spec({"uop_kops": 16, "ucp": True})
+        for _ in range(2):
+            assert cache_key("srv_05", 6_500, config) == (
+                "4eaf01e358448fba6d3fcd208df3a90f"
+            )
+
     def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
         import repro.analysis.runner as runner
 

@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.runner as runner
+from repro.analysis.parallel import SimJob
 from repro.cli import main
 from repro.core import SimConfig
 from repro.isa import TraceFormatError, load_any, normalize_trace
+from repro.serve.protocol import expand_matrix
 from repro.workloads import load_workload
 from repro.workloads.store import (
     cache_token,
@@ -101,8 +103,16 @@ class TestStore:
         ingest_trace(branchy_trace, "tiny", "text")
         first = cache_token("tiny")
         assert first.startswith("tiny@")
+        config = SimConfig()
+        before = SimJob("tiny", config, 100).key
         ingest_trace(sample_trace, "tiny", "text")  # different content
         assert cache_token("tiny") != first
+        # Jobs built after the re-registration key the new content, even
+        # when they share a config object with an older job.
+        after = SimJob("tiny", config, 100).key
+        assert after != before
+        (expanded,) = expand_matrix({"workloads": ["tiny"], "n_instructions": 100})
+        assert expanded.key == after
 
     def test_load_workload_resolves_store(self, trace_store, branchy_trace):
         ingest_trace(branchy_trace, "tiny", "text")

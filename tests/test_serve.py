@@ -202,6 +202,32 @@ class TestExactlyOnce:
         assert c2["jobs_from_memory"] == 1
         assert sum(run_counter.values()) == 1
 
+    def test_served_hit_keys_each_job_once(self, fresh_cache, monkeypatch):
+        """A served hit computes each job's cache key once, at expansion:
+        quarantine, single-flight, the probe, eviction protection and the
+        reply all read that one value."""
+        names = [*WORKLOADS, "crypto_01"]
+        calls = []
+        real = runner.cache_key
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(runner, "cache_key", counting)
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                await client.run(names, n_instructions=N_INSTRUCTIONS)
+                calls.clear()
+                return await client.run(
+                    names, configs=[{"ucp": False}], n_instructions=N_INSTRUCTIONS
+                )
+
+        reply = run_async(_with_server(body))
+        assert [record["cached"] for record in reply.results] == [True] * 4
+        assert len(calls) <= len(names), calls
+
     def test_disk_cache_hit_after_memory_flush(self, fresh_cache, run_counter):
         async def body(server):
             async with ServeClient(port=server.port) as client:
