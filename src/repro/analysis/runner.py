@@ -263,6 +263,7 @@ def run_job(
     n_instructions: int,
     observe: bool = False,
     trace_wire: dict[str, Any] | None = None,
+    key: str | None = None,
 ) -> JobOutput:
     """The job body: produce one result the caches missed, and store it.
 
@@ -280,7 +281,8 @@ def run_job(
     :meth:`SpanContext.as_wire` dict; None starts a new trace).  The spans
     are built in a job-local sink, so no telemetry object crosses a
     pickle boundary and a thread-mode slot cannot record them twice; the
-    caller records them with :func:`record_spans`.
+    caller records them with :func:`record_spans`.  ``key`` is the job's
+    :func:`cache_key` when the caller holds it (computed here otherwise).
     """
     start = time.perf_counter()  # lint-ok: SIM002 job timing telemetry, never touches results
     sink = SpanSink() if telemetry.telemetry_enabled() else None
@@ -293,7 +295,8 @@ def run_job(
         if sink is not None
         else None
     )
-    key = cache_key(workload, n_instructions, config)
+    if key is None:
+        key = cache_key(workload, n_instructions, config)
     result = _load_disk(key)
     taxonomy: dict[str, Any] | None = None
     source = "disk"
@@ -328,6 +331,7 @@ def job_entry(
     n_instructions: int,
     observe: bool = False,
     trace_wire: dict[str, Any] | None = None,
+    key: str | None = None,
 ) -> JobOutput:
     """The worker seam: what ``ParallelRunner`` and the scheduler's slots
     run for each job, in process or in a pool worker.
@@ -336,9 +340,10 @@ def job_entry(
     process pool pickles it by name, so a test double or fault injector
     patched over it reaches serial runs, thread slots and pool workers
     alike (a double sent to a process pool must be a module-level
-    function).  Doubles call :func:`run_job` for the real work.
+    function).  Doubles call :func:`run_job` for the real work, passing
+    on the trailing arguments.
     """
-    return run_job(workload, config, n_instructions, observe, trace_wire)
+    return run_job(workload, config, n_instructions, observe, trace_wire, key)
 
 
 def record_spans(spans: list[dict[str, Any]]) -> None:
@@ -381,7 +386,9 @@ def run_cached(workload: str, config: SimConfig, n_instructions: int = 40_000) -
         return result
 
     try:
-        result, _seconds, _taxonomy, spans = run_job(workload, config, n_instructions)
+        result, _seconds, _taxonomy, spans = run_job(
+            workload, config, n_instructions, False, None, key
+        )
         record_spans(spans)
         # A caller that probed after run_job's disk store has promoted
         # that entry already; every caller gets the one published object.

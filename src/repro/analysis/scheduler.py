@@ -234,7 +234,9 @@ def run_inline(job: SimJob) -> FlightResult:
     """Run one job body in this process, merged exactly like a slot's
     result; a body that raises fails with ``internal``."""
     try:
-        output = _runner.job_entry(job.workload, job.config, job.n_instructions)
+        output = _runner.job_entry(
+            job.workload, job.config, job.n_instructions, False, None, job.key
+        )
     except Exception as error:
         _count_job("failed")
         raise _internal(job, error) from error
@@ -317,6 +319,7 @@ class WorkerSlot:
             job.n_instructions,
             observe,
             trace_wire,
+            job.key,
         )
 
     def restart(self) -> None:

@@ -414,11 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="refresh the committed cache-schema snapshot from the sources",
     )
-    lint.add_argument(
-        "--callgraph-out",
-        metavar="FILE",
-        help="write the interprocedural call-graph/effects artifact (JSON)",
-    )
     return parser
 
 
@@ -587,9 +582,7 @@ def _profile(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
-    report = profile_run(  # lint-ok: SIM002 invoking the profiler is this command's purpose
-        trace, config, idle_skip=False if args.no_skip else None
-    )
+    report = profile_run(trace, config, idle_skip=False if args.no_skip else None)
     print(report.render())
     if args.json:
         from repro.common.output import resolve_output_path
@@ -968,15 +961,6 @@ def _lint(args: argparse.Namespace) -> int:
     except LintInternalError as error:
         print(f"lint: internal error: {error}", file=sys.stderr)
         return 2
-    if args.callgraph_out:
-        import json as _json
-
-        assert engine.analysis is not None  # built by lint_paths
-        Path(args.callgraph_out).write_text(
-            _json.dumps(engine.analysis.to_payload(), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
     output = render_json(report) if args.json else render_text(report) + "\n"
     sys.stdout.write(output)
     return 0 if report.clean else 1

@@ -4,24 +4,14 @@ A dependency-free (stdlib ``ast``) lint pass enforcing the contracts the
 simulator's correctness rests on: seeded randomness, no wall-clock
 nondeterminism, call-time environment reads, zero-cost-when-off hook
 gating, integer counters, order-stable iteration, and cache-schema
-versioning.  On top of the per-file rules sits an interprocedural pass:
-a project call graph (``repro.lint.callgraph``) and a fixed-point effect
-inference (``repro.lint.effects``) that together power the async- and
-process-boundary safety rules SIM009–SIM013 and the indirect arms of
-SIM002/SIM003.  Run it via ``repro lint src/`` or programmatically::
+versioning.  Every rule reads one file at a time, except SIM007, which
+compares three modules against a committed snapshot.  Run it via
+``repro lint src/`` or programmatically::
 
     from repro.lint import LintEngine
     report = LintEngine().lint_paths([Path("src")])
 """
 
-from repro.lint.callgraph import CALLGRAPH_SCHEMA, CallEdge, CallGraph, build_callgraph
-from repro.lint.effects import (
-    EFFECTS,
-    EffectAnalysis,
-    EffectSite,
-    ProjectAnalysis,
-    build_effects,
-)
 from repro.lint.engine import (
     DEFAULT_SCHEMA_PATH,
     LintEngine,
@@ -34,25 +24,16 @@ from repro.lint.rules import RULES, ProjectRule, Rule
 from repro.lint.source import SourceModule, iter_source_files, load_module, module_name
 
 __all__ = [
-    "CALLGRAPH_SCHEMA",
-    "CallEdge",
-    "CallGraph",
     "DEFAULT_SCHEMA_PATH",
-    "EFFECTS",
-    "EffectAnalysis",
-    "EffectSite",
     "Finding",
     "LintEngine",
     "LintInternalError",
     "LintReport",
-    "ProjectAnalysis",
     "ProjectRule",
     "RULES",
     "Rule",
     "SourceModule",
     "Suppressions",
-    "build_callgraph",
-    "build_effects",
     "iter_source_files",
     "load_module",
     "module_name",

@@ -11,14 +11,12 @@ rule set.
 
 from __future__ import annotations
 
-import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.effects import ProjectAnalysis
 from repro.lint.findings import Finding
-from repro.lint.rules import RULES, ProjectRule, Rule
+from repro.lint.rules import RULES, ProjectRule
 from repro.lint.source import SourceModule, iter_source_files, load_module
 
 #: Rule code attached to files the parser rejects.
@@ -54,16 +52,8 @@ class LintReport:
 class LintEngine:
     """Runs every registered rule over a set of paths."""
 
-    def __init__(
-        self,
-        rules: dict[str, Rule] | None = None,
-        schema_path: Path | None = None,
-    ) -> None:
-        self.rules = dict(rules) if rules is not None else dict(RULES)
+    def __init__(self, schema_path: Path | None = None) -> None:
         self.schema_path = schema_path or DEFAULT_SCHEMA_PATH
-        #: Interprocedural pass of the most recent ``lint_paths`` run
-        #: (call graph + effect fixed point); also backs ``--callgraph-out``.
-        self.analysis: ProjectAnalysis | None = None
 
     # -- running --------------------------------------------------------
 
@@ -87,20 +77,12 @@ class LintEngine:
                 continue
             modules[module.module] = module
             self._run_file_rules(module, report)
-        try:
-            self.analysis = ProjectAnalysis.build(modules)
-        except Exception as error:  # an analysis bug is an internal error
-            raise LintInternalError(
-                f"interprocedural analysis crashed: {error!r}"
-            ) from error
         self._run_project_rules(modules, report)
         report.findings.sort()
         return report
 
     def _run_file_rules(self, module: SourceModule, report: LintReport) -> None:
-        # Hybrid rules subclass ProjectRule *and* override per-file
-        # ``check`` (which defaults to []), so every rule runs here.
-        for rule in self.rules.values():
+        for rule in RULES.values():
             try:
                 found = rule.check(module)
             except Exception as error:  # a rule bug is an internal error
@@ -112,7 +94,8 @@ class LintEngine:
     def _run_project_rules(
         self, modules: dict[str, SourceModule], report: LintReport
     ) -> None:
-        for rule in self.rules.values():
+        by_path = {module.display_path: module for module in modules.values()}
+        for rule in RULES.values():
             if not isinstance(rule, ProjectRule):
                 continue
             try:
@@ -122,11 +105,7 @@ class LintEngine:
                     f"project rule {rule.code} crashed: {error!r}"
                 ) from error
             for finding in found:
-                module = self._module_for(modules, finding)
-                if module is not None and module.suppressions.covers(finding):
-                    report.suppressed += 1
-                else:
-                    report.findings.append(finding)
+                self._collect(by_path[finding.path], [finding], report)
 
     def _collect(
         self, module: SourceModule, found: list[Finding], report: LintReport
@@ -136,15 +115,6 @@ class LintEngine:
                 report.suppressed += 1
             else:
                 report.findings.append(finding)
-
-    @staticmethod
-    def _module_for(
-        modules: dict[str, SourceModule], finding: Finding
-    ) -> SourceModule | None:
-        for module in modules.values():
-            if module.display_path == finding.path:
-                return module
-        return None
 
     # -- schema snapshot maintenance ------------------------------------
 
@@ -181,16 +151,9 @@ class LintEngine:
         return snapshot
 
 
-def parse_source(text: str, filename: str = "<lint>") -> ast.Module:
-    """Small helper for tests: parse a fixture snippet."""
-    return ast.parse(text, filename=filename)
-
-
 # Rule modules self-register on import; importing them here makes the
 # registry complete for anyone who imports the engine.
 from repro.lint import (  # noqa: E402,F401
-    rules_async,
-    rules_boundary,
     rules_contracts,
     rules_determinism,
     rules_schema,

@@ -28,27 +28,16 @@ _SUPPRESS_RE = re.compile(
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at ``path:line:col``.
-
-    Interprocedural rules additionally carry the inferred ``effects``
-    that triggered the finding and the ``call_path`` (caller → … → leaf
-    qualified names) that makes an indirect violation auditable.  Both
-    default empty for the per-file rules.
-    """
+    """One rule violation at ``path:line:col``."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-    effects: tuple[str, ...] = ()
-    call_path: tuple[str, ...] = ()
 
     def render(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.call_path:
-            text += f" [path: {' -> '.join(self.call_path)}]"
-        return text
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -57,8 +46,6 @@ class Finding:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "effects": list(self.effects),
-            "call_path": list(self.call_path),
         }
 
 
@@ -70,15 +57,9 @@ class Suppressions:
     whole_file: frozenset[str]
 
     def covers(self, finding: Finding) -> bool:
-        return self.covers_site(finding.line, finding.rule)
-
-    def covers_site(self, line: int, rule: str) -> bool:
-        """Is ``rule`` suppressed at ``line``?  Used both for findings
-        and by the effect pass: a suppressed intrinsic site is an
-        *audited* effect and must not poison its callers."""
-        if rule in self.whole_file:
+        if finding.rule in self.whole_file:
             return True
-        return rule in self.by_line.get(line, frozenset())
+        return finding.rule in self.by_line.get(finding.line, frozenset())
 
 
 def parse_suppressions(text: str) -> Suppressions:

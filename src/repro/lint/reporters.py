@@ -12,9 +12,9 @@ import json
 
 from repro.lint.engine import LintReport
 
-#: Schema version of the JSON report format.  v2: findings carry
-#: ``effects`` and ``call_path`` (the interprocedural pass, SIM009+).
-REPORT_SCHEMA = 2
+#: Schema version of the JSON report format.  v3: findings no longer
+#: carry v2's ``effects`` and ``call_path`` (the call-graph pass is gone).
+REPORT_SCHEMA = 3
 
 
 def render_text(report: LintReport) -> str:

@@ -1,8 +1,8 @@
 """Rule base classes, the rule registry, and shared AST helpers.
 
 Every rule is a singleton registered by :func:`register`; the engine runs
-the per-file rules over each parsed module and the project rules once over
-the whole run set.  A rule carries its own documentation — title,
+the per-file rules over each parsed module and the project rule (SIM007)
+once over the whole run set.  A rule carries its own documentation — title,
 rationale, and a known-bad / known-good example pair — which backs both
 ``repro lint --explain CODE`` and the fixture tests (each rule's examples
 must actually fire / pass, see ``tests/test_lint.py``).
@@ -41,22 +41,13 @@ class Rule:
     def check(self, module: "SourceModule") -> list[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        module: "SourceModule",
-        node: ast.AST,
-        message: str,
-        effects: tuple[str, ...] = (),
-        call_path: tuple[str, ...] = (),
-    ) -> Finding:
+    def finding(self, module: "SourceModule", node: ast.AST, message: str) -> Finding:
         return Finding(
             path=module.display_path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=self.code,
             message=message,
-            effects=effects,
-            call_path=call_path,
         )
 
     def explain(self) -> str:

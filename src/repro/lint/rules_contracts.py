@@ -115,15 +115,12 @@ class _GatingVisitor(ast.NodeVisitor):
 
     # -- structural visits ---------------------------------------------
 
-    def visit_If(self, node: ast.If) -> None:
+    def visit_If(self, node: ast.If | ast.While) -> None:
         self.visit(node.test)
         self._with_guards(guard_targets_positive(node.test), node.body)
         self._with_guards(guard_targets_negative(node.test), node.orelse)
 
-    def visit_While(self, node: ast.While) -> None:
-        self.visit(node.test)
-        self._with_guards(guard_targets_positive(node.test), node.body)
-        self._with_guards(guard_targets_negative(node.test), node.orelse)
+    visit_While = visit_If
 
     def visit_IfExp(self, node: ast.IfExp) -> None:
         self.visit(node.test)

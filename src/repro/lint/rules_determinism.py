@@ -11,15 +11,10 @@ These rules reject the three classic ways simulators lose that property.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING
 
 from repro.lint.findings import Finding
-from repro.lint.rules import ProjectRule, Rule, ScopedVisitor, dotted_name, register
+from repro.lint.rules import Rule, ScopedVisitor, dotted_name, register
 from repro.lint.source import SourceModule
-
-if TYPE_CHECKING:  # pragma: no cover - types only (cycle: effects
-    # imports this module's constants, so effects is imported lazily)
-    from repro.lint.engine import LintEngine
 
 #: ``random`` module functions that use the hidden global Mersenne state.
 _GLOBAL_RANDOM_FNS = frozenset(
@@ -159,7 +154,7 @@ def jitter(rng: random.Random) -> float:
 
 
 @register
-class WallClockRule(ProjectRule):
+class WallClockRule(Rule):
     code = "SIM002"
     title = "no wall-clock reads outside profiling/benchmark modules"
     rationale = """\
@@ -238,64 +233,6 @@ def stamp(stats, cycle: int) -> None:
                 )
         return findings
 
-    def check_project(
-        self, modules: dict[str, SourceModule], engine: "LintEngine"
-    ) -> list[Finding]:
-        """The interprocedural arm: a call into an *exempt* module
-        (profiling/benchmarks) that transitively reads the wall clock is
-        invisible to the per-file scan — the read sits where reads are
-        allowed — yet makes the caller time-dependent all the same.
-        Non-exempt leaves are not re-reported here: the per-file arm
-        already anchors a finding on the read itself."""
-        from repro.lint.effects import WALL_CLOCK
-
-        analysis = engine.analysis
-        assert analysis is not None
-        findings: list[Finding] = []
-        for fn in sorted(analysis.graph.functions.values(), key=lambda f: f.qname):
-            module = analysis.graph.modules.get(fn.module)
-            if module is None or self._exempt(module):
-                continue
-            seen: set[tuple[int, str]] = set()
-            for edge in analysis.graph.out_edges(fn.qname):
-                if WALL_CLOCK not in analysis.effects.edge_effects(edge):
-                    continue
-                path, site = analysis.effects.trace(edge.callee, WALL_CLOCK)
-                if site is None:
-                    continue
-                leaf = analysis.graph.functions.get(site.qname)
-                leaf_module = (
-                    analysis.graph.modules.get(leaf.module) if leaf else None
-                )
-                if leaf_module is None or not self._exempt(leaf_module):
-                    continue
-                key = (edge.line, edge.callee)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(
-                    Finding(
-                        path=module.display_path,
-                        line=edge.line,
-                        col=edge.col + 1,
-                        rule=self.code,
-                        message=(
-                            f"call reaches wall-clock read `{site.detail}` "
-                            f"inside exempt module `{leaf_module.module}`; the "
-                            "caller becomes host-time dependent even though "
-                            "the read itself is in allowed territory"
-                        ),
-                        effects=(WALL_CLOCK,),
-                        call_path=tuple([fn.qname] + path),
-                    )
-                )
-        return findings
-
-    def _exempt(self, module: SourceModule) -> bool:
-        return module.module in self.ALLOWED_MODULES or bool(
-            self.ALLOWED_PATH_PARTS & set(module.path.parts)
-        )
-
 
 class _EnvScopeVisitor(ScopedVisitor):
     def __init__(self, rule: "ImportTimeEnvRule", module: SourceModule) -> None:
@@ -332,7 +269,7 @@ class _EnvScopeVisitor(ScopedVisitor):
 
 
 @register
-class ImportTimeEnvRule(ProjectRule):
+class ImportTimeEnvRule(Rule):
     code = "SIM003"
     title = "environment variables must be read at call time, not import time"
     rationale = """\
@@ -364,50 +301,3 @@ def cache_dir() -> str:
         visitor = _EnvScopeVisitor(self, module)
         visitor.visit(module.tree)
         return visitor.findings
-
-    def check_project(
-        self, modules: dict[str, SourceModule], engine: "LintEngine"
-    ) -> list[Finding]:
-        """The interprocedural arm: a module-scope call whose callee
-        (transitively) reads the environment freezes the knob exactly
-        like an inline import-time read — but the read itself sits in a
-        function, where the per-file scan rightly allows it."""
-        from repro.lint.callgraph import MODULE_BODY
-        from repro.lint.effects import ENV_READ
-
-        analysis = engine.analysis
-        assert analysis is not None
-        findings: list[Finding] = []
-        for fn in sorted(analysis.graph.functions.values(), key=lambda f: f.qname):
-            if fn.name != MODULE_BODY:
-                continue
-            module = analysis.graph.modules.get(fn.module)
-            if module is None:
-                continue
-            seen: set[tuple[int, str]] = set()
-            for edge in analysis.graph.out_edges(fn.qname):
-                if ENV_READ not in analysis.effects.edge_effects(edge):
-                    continue
-                key = (edge.line, edge.callee)
-                if key in seen:
-                    continue
-                seen.add(key)
-                path, site = analysis.effects.trace(edge.callee, ENV_READ)
-                leaf = f" (`{site.detail}`)" if site else ""
-                findings.append(
-                    Finding(
-                        path=module.display_path,
-                        line=edge.line,
-                        col=edge.col + 1,
-                        rule=self.code,
-                        message=(
-                            f"import-time call to `{edge.callee}` reaches an "
-                            f"environment read{leaf}; the knob freezes at "
-                            "first-import time — call this at call time "
-                            "instead"
-                        ),
-                        effects=(ENV_READ,),
-                        call_path=tuple([fn.qname] + path),
-                    )
-                )
-        return findings

@@ -55,29 +55,20 @@ def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef:
     raise SchemaExtractionError(f"method {cls.name}.{name} not found")
 
 
-def _class_int(cls: ast.ClassDef, name: str) -> int:
-    """A class-body ``NAME = <int literal>`` (e.g. ``SCHEMA = 1``)."""
-    for node in cls.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    if isinstance(node.value, ast.Constant) and isinstance(
-                        node.value.value, int
-                    ):
-                        return node.value.value
-    raise SchemaExtractionError(f"{cls.name}.{name} int literal not found")
+def _int_literal(body: list[ast.stmt], name: str, owner: str) -> tuple[int, ast.AST]:
+    """The ``NAME = <int literal>`` statement of ``body`` (e.g. ``SCHEMA = 1``)."""
+    for node in body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)):
+            continue
+        if isinstance(node.value.value, int) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return node.value.value, node
+    raise SchemaExtractionError(f"{owner}.{name} int literal not found")
 
 
-def _module_int(module: SourceModule, name: str) -> tuple[int, ast.AST]:
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    if isinstance(node.value, ast.Constant) and isinstance(
-                        node.value.value, int
-                    ):
-                        return node.value.value, node
-    raise SchemaExtractionError(f"{module.module}.{name} int literal not found")
+def _cache_version(runner: SourceModule) -> tuple[int, ast.AST]:
+    return _int_literal(runner.tree.body, "CACHE_VERSION", runner.module)
 
 
 def _to_dict_keys(method: ast.FunctionDef) -> list[str]:
@@ -101,18 +92,18 @@ def extract_schema(modules: dict[str, SourceModule]) -> dict[str, object]:
     runner = modules[RUNNER_MODULE]
     pipeline = modules[RESULT_MODULE]
     stats = modules[STATS_MODULE]
-    cache_version, _node = _module_int(runner, "CACHE_VERSION")
+    cache_version, _node = _cache_version(runner)
     sim_result = _class_def(pipeline, "SimResult")
     stat_block = _class_def(stats, "StatBlock")
     return {
         "schema": SNAPSHOT_SCHEMA,
         "cache_version": cache_version,
         "simresult": {
-            "schema": _class_int(sim_result, "SCHEMA"),
+            "schema": _int_literal(sim_result.body, "SCHEMA", sim_result.name)[0],
             "to_dict_keys": _to_dict_keys(_method(sim_result, "to_dict")),
         },
         "statblock": {
-            "schema": _class_int(stat_block, "SCHEMA"),
+            "schema": _int_literal(stat_block.body, "SCHEMA", stat_block.name)[0],
             "to_dict_keys": _to_dict_keys(_method(stat_block, "to_dict")),
         },
     }
@@ -159,7 +150,7 @@ CACHE_VERSION = 8  # payload gained power_w
         snapshot_path = engine.schema_path
         if not snapshot_path.exists():
             runner = modules[RUNNER_MODULE]
-            _version, node = _module_int(runner, "CACHE_VERSION")
+            _version, node = _cache_version(runner)
             return [
                 self.finding(
                     runner,
@@ -185,7 +176,7 @@ CACHE_VERSION = 8  # payload gained power_w
         )
         version_moved = snapshot.get("cache_version") != current.get("cache_version")
         runner = modules[RUNNER_MODULE]
-        _version, version_node = _module_int(runner, "CACHE_VERSION")
+        _version, version_node = _cache_version(runner)
         if shape_moved and not version_moved:
             for part, module_name, cls, method in (
                 ("simresult", RESULT_MODULE, "SimResult", "to_dict"),

@@ -109,7 +109,7 @@ def registry() -> MetricsRegistry:
     """
     global _registry
     if _registry is None:
-        with _lock:  # lint-ok: SIM010 lazy-singleton init guard, held for one construction
+        with _lock:
             if _registry is None:
                 _registry = MetricsRegistry()
     return _registry
@@ -119,7 +119,7 @@ def spans() -> SpanSink:
     """The process-wide span sink (created on first use)."""
     global _spans
     if _spans is None:
-        with _lock:  # lint-ok: SIM010 lazy-singleton init guard, held for one construction
+        with _lock:
             if _spans is None:
                 _spans = SpanSink()
     return _spans
@@ -129,7 +129,7 @@ def recorder() -> FlightRecorder:
     """The process-wide flight recorder (created on first use)."""
     global _recorder
     if _recorder is None:
-        with _lock:  # lint-ok: SIM010 lazy-singleton init guard, held for one construction
+        with _lock:
             if _recorder is None:
                 _recorder = FlightRecorder()
     return _recorder

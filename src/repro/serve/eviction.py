@@ -112,13 +112,13 @@ def protect(key: str) -> None:
     # The lock is shared with pool worker threads (prune / protected_keys
     # run off-loop), so asyncio.Lock cannot replace it; the critical
     # section is a single dict update — microseconds, unconditionally.
-    with _protect_lock:  # lint-ok: SIM010 microsecond dict update, shared with worker threads
+    with _protect_lock:
         _PROTECTED[key] = _PROTECTED.get(key, 0) + 1
 
 
 def unprotect(key: str) -> None:
     """Release one :func:`protect` registration of ``key``."""
-    with _protect_lock:  # lint-ok: SIM010 microsecond dict update, shared with worker threads
+    with _protect_lock:
         count = _PROTECTED.get(key, 0) - 1
         if count <= 0:
             _PROTECTED.pop(key, None)

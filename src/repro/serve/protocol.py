@@ -34,8 +34,9 @@ from typing import Any
 from repro.analysis.scheduler import ERROR_CODES, JobError, SimJob
 from repro.core.configs import config_from_spec
 from repro.core.pipeline import SimResult
+from repro.isa import TraceFormatError
 from repro.observe.telemetry import SpanContext
-from repro.workloads import SUITE, is_ingested
+from repro.workloads import SUITE, ingested_names
 
 __all__ = [
     "ERROR_CODES",
@@ -108,8 +109,16 @@ def expand_matrix(matrix: object) -> list[SimJob]:
     for name in workloads:
         if not isinstance(name, str):
             raise ServeError("bad-request", f"workload name {name!r} is not a string")
-        if name not in SUITE and not is_ingested(name):
-            raise ServeError("unknown-workload", f"unknown workload {name!r}")
+    # Names outside the suite are checked against one manifest read.
+    outside = [name for name in workloads if name not in SUITE]
+    if outside:
+        try:
+            ingested = set(ingested_names())
+        except TraceFormatError:
+            ingested = set()
+        for name in outside:
+            if name not in ingested:
+                raise ServeError("unknown-workload", f"unknown workload {name!r}")
     specs = matrix.get("configs", [{}])
     if not isinstance(specs, list) or not specs:
         raise ServeError("bad-request", "matrix.configs must be a non-empty list")

@@ -212,7 +212,7 @@ class ExperimentServer:
         elif kind == "status":
             # The cache summary scans the cache directory on disk; hop it
             # to a worker thread so a cold or large cache cannot stall
-            # every other connection (SIM009).
+            # every other connection.
             cache = await asyncio.to_thread(_runner.cache_stats)
             await self._send(conn, self._status_message(cache))
         elif kind == "cancel":
@@ -295,7 +295,7 @@ class ExperimentServer:
                 # before dispatching — a bounded read the serve design
                 # accepts on-loop (docs/SERVICE.md); everything heavier
                 # already runs in the worker pool.
-                flight = self.scheduler.submit(  # lint-ok: SIM009 bounded single-key cache probe
+                flight = self.scheduler.submit(
                     job,
                     priority=request.priority,
                     timeout=request.timeout,

@@ -202,37 +202,8 @@ class TestLintCommand:
         bad.write_text(self.BAD)
         assert main(["lint", "--json", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["counts_by_rule"] == {"SIM001": 1}
-        finding = payload["findings"][0]
-        assert finding["effects"] == []
-        assert finding["call_path"] == []
-
-    def test_callgraph_out_writes_artifact(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "callgraph.json"
-        assert main(["lint", "src", "--callgraph-out", str(out)]) == 0
-        capsys.readouterr()
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == 1
-        qnames = {entry["qname"] for entry in payload["functions"]}
-        assert "repro.analysis.scheduler.Scheduler.submit" in qnames
-        assert payload["edges"]
-
-    def test_callgraph_out_written_even_with_findings(self, tmp_path, capsys):
-        import json
-
-        bad = tmp_path / "src" / "repro" / "core" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(self.BAD)
-        out = tmp_path / "callgraph.json"
-        assert main(["lint", str(tmp_path), "--callgraph-out", str(out)]) == 1
-        capsys.readouterr()
-        payload = json.loads(out.read_text())
-        assert "repro.core.bad.pick" in {
-            entry["qname"] for entry in payload["functions"]
-        }
 
     def test_missing_path_exits_two(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2

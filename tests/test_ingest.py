@@ -19,7 +19,7 @@ from repro.analysis.parallel import SimJob
 from repro.cli import main
 from repro.core import SimConfig
 from repro.isa import TraceFormatError, load_any, normalize_trace
-from repro.serve.protocol import expand_matrix
+from repro.serve.protocol import ServeError, expand_matrix
 from repro.workloads import load_workload
 from repro.workloads.store import (
     cache_token,
@@ -113,6 +113,33 @@ class TestStore:
         assert after != before
         (expanded,) = expand_matrix({"workloads": ["tiny"], "n_instructions": 100})
         assert expanded.key == after
+
+    def test_matrix_checks_names_with_one_manifest_read(
+        self, trace_store, branchy_trace, monkeypatch
+    ):
+        import repro.workloads.store as store
+
+        names = ["tiny_a", "tiny_b", "tiny_c"]
+        for name in names:
+            ingest_trace(branchy_trace, name, "text")
+        reads = []
+        real = store._read_manifest
+
+        def counting(*args):
+            reads.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(store, "_read_manifest", counting)
+        jobs = expand_matrix({"workloads": [*names, "fp_01"], "n_instructions": 100})
+        assert [job.workload for job in jobs] == [*names, "fp_01"]
+        # One read validates every name; each ingested job's key reads
+        # the manifest once more, for its content digest (cache_token).
+        assert len(reads) == 1 + len(names)
+        reads.clear()
+        with pytest.raises(ServeError) as excinfo:
+            expand_matrix({"workloads": [*names, "nope"]})
+        assert excinfo.value.code == "unknown-workload"
+        assert len(reads) == 1
 
     def test_load_workload_resolves_store(self, trace_store, branchy_trace):
         ingest_trace(branchy_trace, "tiny", "text")

@@ -42,8 +42,8 @@ def rules_fired(report):
 
 
 class TestCatalog:
-    def test_all_thirteen_rules_registered(self):
-        assert sorted(RULES) == [f"SIM{i:03d}" for i in range(1, 14)]
+    def test_all_eight_rules_registered(self):
+        assert sorted(RULES) == [f"SIM{i:03d}" for i in range(1, 9)]
 
     def test_rule_codes_match_convention(self):
         for code, rule in RULES.items():
@@ -581,22 +581,10 @@ class TestReporters:
         assert payload["clean"] is False
         assert payload["counts_by_rule"] == {"SIM002": 1}
         assert payload["findings"][0]["rule"] == "SIM002"
-        # Schema v2: every finding carries effects/call_path (empty lists
-        # for per-file findings) so consumers need no presence checks.
-        assert set(payload["findings"][0]) == {
-            "path",
-            "line",
-            "col",
-            "rule",
-            "message",
-            "effects",
-            "call_path",
-        }
-        assert payload["findings"][0]["effects"] == []
-        assert payload["findings"][0]["call_path"] == []
+        assert set(payload["findings"][0]) == {"path", "line", "col", "rule", "message"}
 
-    def test_report_schema_is_v2(self):
-        assert REPORT_SCHEMA == 2
+    def test_report_schema_is_v3(self):
+        assert REPORT_SCHEMA == 3
 
 
 class TestRatchet:
@@ -686,15 +674,21 @@ class TestSelfCheck:
 
     def test_known_suppressions_are_the_telemetry_sites(self):
         report = LintEngine().lint_paths([REPO / "src"])
-        # Wall-clock run telemetry in parallel.py (2), queue timing in
-        # scheduler.py (2), the job body's timing in analysis/runner.py (2),
-        # the eviction
-        # grace-window clock in serve/eviction.py (1), and the
-        # span/flight-recorder timestamps in observe/telemetry (4).  The
-        # SIM009/SIM010 lint-ok comments added with the interprocedural
-        # pass are effect cuts: they remove the effect before any finding
-        # is generated, so they do not increment this counter.
+        # Every suppression is a SIM002 wall-clock read: run telemetry in
+        # parallel.py (2), queue timing in scheduler.py (2), the job body's
+        # timing in analysis/runner.py (2), the eviction grace-window clock
+        # in serve/eviction.py (1), and the span/flight-recorder timestamps
+        # in observe/telemetry (4).
         assert report.suppressed == 11
+        # No suppression comment outlives its rule (the linter's own
+        # docstrings quote examples, so its package is skipped).
+        codes: set[str] = set()
+        for file in (REPO / "src").rglob("*.py"):
+            if "lint" in file.parts:
+                continue
+            found = parse_suppressions(file.read_text(encoding="utf-8"))
+            codes |= found.whole_file.union(*found.by_line.values())
+        assert codes == {"SIM002"}
 
     def test_finding_ordering_is_total(self):
         a = Finding("a.py", 1, 1, "SIM001", "x")
@@ -707,657 +701,3 @@ class TestSelfCheck:
         from repro.lint import selfcheck
 
         assert selfcheck.main([]) == 0
-
-
-def lint_tree(tmp_path, files):
-    """Write a multi-file src tree and lint it whole; returns
-    (report, engine) so tests can inspect ``engine.analysis``."""
-    for relpath, code in files:
-        file = tmp_path / relpath
-        file.parent.mkdir(parents=True, exist_ok=True)
-        file.write_text(textwrap.dedent(code))
-    engine = LintEngine(schema_path=tmp_path / "schema.json")
-    return engine.lint_paths([tmp_path / "src"]), engine
-
-
-class TestCallGraph:
-    def test_direct_and_method_edges(self, tmp_path):
-        _, engine = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    class Engine:
-                        def run(self) -> None:
-                            self.step()
-
-                        def step(self) -> None:
-                            helper()
-
-                    def helper() -> None:
-                        pass
-                    """,
-                )
-            ],
-        )
-        graph = engine.analysis.graph
-        callees = {
-            edge.caller: edge.callee for edge in graph.edges
-        }
-        assert callees["repro.core.mod.Engine.run"] == "repro.core.mod.Engine.step"
-        assert callees["repro.core.mod.Engine.step"] == "repro.core.mod.helper"
-
-    def test_cross_module_import_edge(self, tmp_path):
-        _, engine = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/helpers.py",
-                    """
-                    def load() -> int:
-                        return 1
-                    """,
-                ),
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    from repro.core.helpers import load
-
-                    def boot() -> int:
-                        return load()
-                    """,
-                ),
-            ],
-        )
-        graph = engine.analysis.graph
-        assert any(
-            edge.caller == "repro.core.mod.boot"
-            and edge.callee == "repro.core.helpers.load"
-            for edge in graph.edges
-        )
-
-    def test_unresolvable_calls_make_no_edge(self, tmp_path):
-        _, engine = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    def run(callback) -> None:
-                        callback()
-                        getattr(callback, "close")()
-                    """,
-                )
-            ],
-        )
-        assert not engine.analysis.graph.edges
-
-    def test_payload_shape(self, tmp_path):
-        from repro.lint import CALLGRAPH_SCHEMA
-
-        _, engine = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    def a() -> None:
-                        b()
-
-                    def b() -> None:
-                        pass
-                    """,
-                )
-            ],
-        )
-        payload = engine.analysis.to_payload()
-        # Round-trips through JSON (this is the CI artifact).
-        payload = json.loads(json.dumps(payload))
-        assert payload["schema"] == CALLGRAPH_SCHEMA
-        entry = next(
-            f for f in payload["functions"] if f["qname"] == "repro.core.mod.a"
-        )
-        assert set(entry) == {
-            "qname",
-            "module",
-            "name",
-            "class",
-            "line",
-            "async",
-            "effects",
-            "intrinsic",
-        }
-        assert any(
-            e["caller"] == "repro.core.mod.a" and e["callee"] == "repro.core.mod.b"
-            for e in payload["edges"]
-        )
-
-
-class TestEffects:
-    def test_effect_propagates_up_the_chain(self, tmp_path):
-        from repro.lint.effects import WALL_CLOCK
-
-        _, engine = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/profile.py",
-                    """
-                    import time
-
-                    def now() -> float:
-                        return time.time()
-
-                    def outer() -> float:
-                        return now()
-                    """,
-                )
-            ],
-        )
-        effects = engine.analysis.effects
-        assert WALL_CLOCK in effects.effects_of("repro.analysis.profile.now")
-        assert WALL_CLOCK in effects.effects_of("repro.analysis.profile.outer")
-        path, site = effects.trace("repro.analysis.profile.outer", WALL_CLOCK)
-        assert path == [
-            "repro.analysis.profile.outer",
-            "repro.analysis.profile.now",
-        ]
-        assert site.detail == "time.time()"
-
-    def test_suppression_cuts_the_edge(self, tmp_path):
-        from repro.lint.effects import WALL_CLOCK
-
-        _, engine = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/profile.py",
-                    """
-                    import time
-
-                    def now() -> float:
-                        return time.time()
-
-                    def outer() -> float:
-                        return now()  # lint-ok: SIM002 profiling wrapper
-
-                    def unaudited() -> float:
-                        return now()
-                    """,
-                )
-            ],
-        )
-        effects = engine.analysis.effects
-        # The suppressed edge is cut; the unsuppressed one still taints.
-        assert WALL_CLOCK not in effects.effects_of(
-            "repro.analysis.profile.outer"
-        )
-        assert WALL_CLOCK in effects.effects_of(
-            "repro.analysis.profile.unaudited"
-        )
-
-
-class TestSim009AsyncBlocking:
-    def test_direct_blocking_call_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    import time
-
-                    async def handle() -> None:
-                        time.sleep(0.05)
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == {"SIM009"}
-
-    def test_indirect_blocking_call_fires_with_path(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    async def handle() -> str:
-                        return probe()
-
-                    def probe() -> str:
-                        return load()
-
-                    def load() -> str:
-                        with open("state.json") as fh:
-                            return fh.read()
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == {"SIM009"}
-        finding = report.findings[0]
-        assert finding.call_path == (
-            "repro.serve.mod.handle",
-            "repro.serve.mod.probe",
-            "repro.serve.mod.load",
-        )
-        assert "blocking" in finding.message
-
-    def test_executor_hop_is_clean(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    import asyncio
-
-                    async def handle() -> None:
-                        await asyncio.to_thread(warm)
-
-                    def warm() -> None:
-                        with open("cache.bin", "rb") as fh:
-                            fh.read()
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-    def test_blocking_outside_async_scope_is_clean(self, tmp_path):
-        # Same shape, but in repro.analysis: no event loop, no SIM009.
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    async def handle() -> str:
-                        return load()
-
-                    def load() -> str:
-                        with open("state.json") as fh:
-                            return fh.read()
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-
-class TestSim010AsyncLock:
-    def test_threading_lock_in_async_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    import threading
-
-                    _lock = threading.Lock()
-
-                    async def handle() -> None:
-                        with _lock:
-                            pass
-                    """,
-                )
-            ],
-        )
-        assert "SIM010" in rules_fired(report)
-
-    def test_indirect_lock_anchored_at_acquire_site(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    import threading
-
-                    _lock = threading.Lock()
-
-                    async def handle() -> None:
-                        protect()
-
-                    def protect() -> None:
-                        with _lock:
-                            pass
-                    """,
-                )
-            ],
-        )
-        sim010 = [f for f in report.findings if f.rule == "SIM010"]
-        assert len(sim010) == 1
-        # Anchored at the acquire (`with _lock:`) so one suppression
-        # there covers every async route.
-        assert sim010[0].line == 10
-        assert sim010[0].call_path == (
-            "repro.serve.mod.handle",
-            "repro.serve.mod.protect",
-        )
-
-    def test_cross_await_mutation_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    class Tracker:
-                        def __init__(self) -> None:
-                            self.active = 0
-
-                        async def track(self, job) -> None:
-                            self.active = self.active + 1
-                            await job.run()
-                            self.active = self.active - 1
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == {"SIM010"}
-        assert "both sides of an await" in report.findings[0].message
-
-    def test_asyncio_lock_is_clean(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    import asyncio
-
-                    class Tracker:
-                        def __init__(self) -> None:
-                            self.active = 0
-                            self.lock = asyncio.Lock()
-
-                        async def track(self, job) -> None:
-                            async with self.lock:
-                                self.active = self.active + 1
-                                await job.run()
-                                self.active = self.active - 1
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-
-class TestSim011LockAcrossAwait:
-    def test_with_lock_around_await_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    import threading
-
-                    _lock = threading.Lock()
-
-                    async def refresh(source) -> None:
-                        with _lock:
-                            await source.fetch()
-                    """,
-                )
-            ],
-        )
-        assert "SIM011" in rules_fired(report)
-
-    def test_manual_acquire_across_await_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    async def refresh(cache_lock, source) -> None:
-                        cache_lock.acquire()
-                        await source.fetch()
-                        cache_lock.release()
-                    """,
-                )
-            ],
-        )
-        assert "SIM011" in rules_fired(report)
-
-    def test_async_with_is_clean(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    import asyncio
-
-                    _lock = asyncio.Lock()
-
-                    async def refresh(source) -> None:
-                        async with _lock:
-                            await source.fetch()
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-    def test_sync_critical_section_is_clean(self, tmp_path):
-        # Near-miss: the lock guards only sync work; the await is outside.
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    import threading
-
-                    _lock = threading.Lock()
-                    _state = {}
-
-                    async def refresh(source) -> None:
-                        data = await source.fetch()
-                        with _lock:
-                            _state.update(data)
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-
-class TestSim012ProcessBoundary:
-    def test_open_handle_into_submit_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def run_jobs(jobs) -> None:
-                        pool = ProcessPoolExecutor()
-                        log = open("run.log", "w")
-                        for job in jobs:
-                            pool.submit(execute, job, log)
-
-                    def execute(job, log) -> None:
-                        log.write(str(job))
-                    """,
-                )
-            ],
-        )
-        assert "SIM012" in rules_fired(report)
-
-    def test_lambda_into_submit_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/serve/mod.py",
-                    """
-                    def run(pool, job) -> None:
-                        pool.submit(lambda: job.execute())
-                    """,
-                )
-            ],
-        )
-        assert "SIM012" in rules_fired(report)
-
-    def test_plain_data_payload_is_clean(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/analysis/mod.py",
-                    """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def run_jobs(jobs) -> None:
-                        pool = ProcessPoolExecutor()
-                        for job in jobs:
-                            pool.submit(execute, job, "run.log")
-
-                    def execute(job, log_path: str) -> None:
-                        with open(log_path, "a") as fh:
-                            fh.write(str(job))
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-
-class TestSim013StatFeedDeterminism:
-    def test_wall_clock_behind_helper_fires(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    import time
-
-                    class Retire:
-                        def commit(self, uops_stats) -> None:
-                            uops_stats.add("retired", self._stamp())
-
-                        def _stamp(self) -> int:
-                            return int(time.time())
-                    """,
-                )
-            ],
-        )
-        fired = rules_fired(report)
-        # SIM002 anchors on the read itself; SIM013 on the counter feed.
-        assert "SIM013" in fired
-        sim013 = next(f for f in report.findings if f.rule == "SIM013")
-        assert "wall-clock" in sim013.effects
-        assert "pure function" in sim013.message
-
-    def test_pure_counter_feed_is_clean(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    class Retire:
-                        def commit(self, uops_stats, cycle: int) -> None:
-                            uops_stats.add("retired_cycle", cycle)
-                    """,
-                )
-            ],
-        )
-        assert rules_fired(report) == set()
-
-    def test_effectful_function_without_stats_feed_is_clean(self, tmp_path):
-        # Near-miss: wall-clock effect but nothing feeds a StatBlock —
-        # SIM002 still anchors the read, but SIM013 stays silent.
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                (
-                    "src/repro/core/mod.py",
-                    """
-                    import time
-
-                    def stamp() -> int:
-                        return int(time.time())
-                    """,
-                )
-            ],
-        )
-        assert "SIM013" not in rules_fired(report)
-
-
-class TestInterproceduralRegressions:
-    """The acceptance case: indirect SIM002/SIM003 violations that the
-    per-file engine provably misses and only the call-graph pass catches."""
-
-    PROFILE = """
-    import time
-
-    def now() -> float:
-        return time.time()  # allowed here: profiling module is exempt
-    """
-    CALLER = """
-    from repro.analysis.profile import now
-
-    def tick() -> float:
-        return now()
-    """
-
-    def test_per_file_engine_misses_indirect_wall_clock(self, tmp_path):
-        # Linting the caller alone (the per-file view): the wall-clock
-        # read is invisible — it lives behind an import the single-file
-        # run cannot resolve.
-        report = lint_file(tmp_path, "src/repro/core/mod.py", self.CALLER)
-        assert rules_fired(report) == set()
-
-    def test_project_run_catches_indirect_wall_clock(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                ("src/repro/analysis/profile.py", self.PROFILE),
-                ("src/repro/core/mod.py", self.CALLER),
-            ],
-        )
-        assert rules_fired(report) == {"SIM002"}
-        finding = report.findings[0]
-        assert finding.path.endswith("core/mod.py")
-        assert finding.call_path[-1] == "repro.analysis.profile.now"
-        assert "wall-clock" in finding.effects
-
-    KNOB = """
-    import os
-
-    def knob() -> str:
-        return os.environ.get("REPRO_LIMIT", "8")  # call-time read: fine
-    """
-    IMPORTER = """
-    from repro.serve.helpers import knob
-
-    LIMIT = knob()
-    """
-
-    def test_per_file_engine_misses_indirect_env_read(self, tmp_path):
-        report = lint_file(tmp_path, "src/repro/serve/mod.py", self.IMPORTER)
-        assert rules_fired(report) == set()
-
-    def test_project_run_catches_indirect_env_read(self, tmp_path):
-        report, _ = lint_tree(
-            tmp_path,
-            [
-                ("src/repro/serve/helpers.py", self.KNOB),
-                ("src/repro/serve/mod.py", self.IMPORTER),
-            ],
-        )
-        assert rules_fired(report) == {"SIM003"}
-        finding = report.findings[0]
-        assert finding.path.endswith("serve/mod.py")
-        assert "import-time call" in finding.message

@@ -147,22 +147,22 @@ class TestScheduling:
         monkeypatch.setenv("REPRO_SIM_JOBS", "0")
         assert resolve_job_count() == 1  # clamped
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["misses", "hits"])
-    def test_run_keys_each_job_once(self, fresh_cache, monkeypatch, warm):
-        """Dedup, probe, merge and the result dict all read the job's one
-        key: N distinct jobs cost at most N ``cache_key`` calls."""
+    @pytest.mark.parametrize("case", ["misses", "hits", "real-body"])
+    def test_run_keys_each_job_once(self, fresh_cache, monkeypatch, case):
+        """Dedup, probe, merge, the job body and the result dict all read
+        the job's one key: N distinct jobs cost at most N ``cache_key``
+        calls."""
         jobs = [SimJob(name, SimConfig(), N_INSTRUCTIONS) for name in SUITE]
-        if warm:
+        if case == "hits":
             # Warm the cache through copies: the counted jobs start unkeyed.
             ParallelRunner(jobs=1).run(
                 [SimJob(job.workload, job.config, job.n_instructions) for job in jobs]
             )
-        # The job body keys its own arguments; stub it so only the
-        # façade's calls are counted.
-        canned = runner.run_job("fp_01", SimConfig(), 500)[0]
-        monkeypatch.setattr(
-            runner, "job_entry", lambda *args: (canned, 0.0, None, [])
-        )
+        if case != "real-body":
+            canned = runner.run_job("fp_01", SimConfig(), 500)[0]
+            monkeypatch.setattr(
+                runner, "job_entry", lambda *args: (canned, 0.0, None, [])
+            )
         calls = []
         real = runner.cache_key
 
@@ -174,6 +174,10 @@ class TestScheduling:
         results = ParallelRunner(jobs=1).run(jobs + jobs)
         assert set(results) == {job.key for job in jobs}
         assert len(calls) <= len(jobs), calls
+        if case == "real-body":
+            # Every job simulated, and the body reused the engine's key.
+            assert len(calls) == len(jobs)
+            assert runner.verify_disk_cache() == {"ok": len(jobs), "corrupt": []}
 
     def test_engine_stats_render(self, fresh_cache):
         engine = ParallelRunner(jobs=1)

@@ -15,7 +15,9 @@ sync functions driving :func:`run_async`.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -40,6 +42,70 @@ WORKLOADS = ("fp_01", "int_01", "srv_02")
 def run_async(coro, timeout: float = 120.0):
     """Drive one async test body to completion with a safety timeout."""
     return asyncio.run(asyncio.wait_for(coro, timeout))
+
+
+#: The debug-mode loop's ``slow_callback_duration``: one callback holding
+#: the loop longer is a stall.  asyncio's own default; clean runs of
+#: ``TestLoopStalls`` peak at 35-46 ms on a 2-CPU host (a thread slot
+#: starting while another simulates), so this leaves about 2x headroom.
+STALL_SECONDS = 0.1
+
+
+class _StallLog(logging.Handler):
+    """Collects asyncio's debug-mode "Executing <handle> took N seconds"
+    warnings: one per callback that held the loop past its threshold."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.stalls: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if message.startswith("Executing "):
+            self.stalls.append(message)
+
+
+def run_debug(coro, timeout: float = 60.0):
+    """Like :func:`run_async`, on a debug-mode loop that reports every
+    callback slower than :data:`STALL_SECONDS`: ``(result, stalls)``.
+
+    The loop runs in its own thread, so a loop that never gets control
+    back (a lock held across an ``await`` and then taken on the loop)
+    fails the test instead of hanging it."""
+    log = _StallLog()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(log)
+    outcome: dict[str, object] = {}
+
+    async def main():
+        asyncio.get_running_loop().slow_callback_duration = STALL_SECONDS
+        return await asyncio.wait_for(coro, timeout)
+
+    def loop_thread():
+        try:
+            outcome["result"] = asyncio.run(main(), debug=True)
+        except BaseException as error:  # re-raised in the test's thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=loop_thread, daemon=True)
+    thread.start()
+    thread.join(timeout + 10.0)
+    logger.removeHandler(log)
+    if thread.is_alive():
+        pytest.fail(f"the event loop is wedged; stalls so far: {log.stalls}")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"], log.stalls
+
+
+async def _until_running(client: ServeClient) -> None:
+    """Poll ``status`` until a job occupies a slot."""
+    for _ in range(200):
+        status = await client.status()
+        if status["scheduler"]["in_flight"] >= 1:
+            return
+        await asyncio.sleep(0.02)
+    pytest.fail("the job never started running")
 
 
 @pytest.fixture()
@@ -262,14 +328,7 @@ class TestCancellation:
                         request_id="victim",
                     )
                 )
-                # Wait until the job is actually running on a shard.
-                for _ in range(200):
-                    status = await client.status()
-                    if status["scheduler"]["in_flight"] >= 1:
-                        break
-                    await asyncio.sleep(0.02)
-                else:
-                    pytest.fail("victim job never started running")
+                await _until_running(client)
                 await client.cancel("victim")
                 with pytest.raises(ServeRequestError) as excinfo:
                     await victim
@@ -495,6 +554,89 @@ class TestControlPlane:
         assert pong["type"] == "pong" and pong["protocol"] == 2
         assert status["scheduler"]["mode"] == "thread"
         assert status["cache"]["cache_version"] == runner.CACHE_VERSION
+
+
+class TestLoopStalls:
+    """The server's event loop never blocks: the dynamic check for
+    blocking I/O or a contended threading lock reached from a handler.
+    Every request runs on a debug-mode loop, and any callback slower than
+    :data:`STALL_SECONDS` fails the test with asyncio's record naming
+    the handle."""
+
+    def test_served_verbs_never_stall_the_loop(self, fresh_cache, monkeypatch):
+        release = threading.Event()
+
+        def blocking(workload, config, n_instructions, *args):
+            if workload == "srv_02":
+                release.wait(30.0)
+            return runner.run_job(workload, config, n_instructions, *args)
+
+        monkeypatch.setattr(runner, "job_entry", blocking)
+        names = ["fp_01", "int_01"]
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client, ServeClient(
+                port=server.port
+            ) as other:
+                cold = await client.status()
+                # Two clients miss on the same keys at once: the second
+                # coalesces onto (or hits) the first one's flights.
+                miss, shared = await asyncio.gather(
+                    client.run(names, n_instructions=N_INSTRUCTIONS),
+                    other.run(names, n_instructions=N_INSTRUCTIONS),
+                )
+                hit = await client.run(names, n_instructions=N_INSTRUCTIONS)
+                runner._memory_cache.clear()
+                disk = await client.run(names, n_instructions=N_INSTRUCTIONS)
+                victim = asyncio.create_task(
+                    client.run(
+                        ["srv_02"], n_instructions=N_INSTRUCTIONS, request_id="victim"
+                    )
+                )
+                await _until_running(client)
+                await client.cancel("victim")
+                with pytest.raises(ServeRequestError):
+                    await victim
+                warm = await client.status()
+            return cold, miss, shared, hit, disk, warm
+
+        try:
+            (cold, miss, shared, hit, disk, warm), stalls = run_debug(
+                _with_server(body)
+            )
+        finally:
+            release.set()  # free the cancelled job's worker thread
+        assert stalls == []
+        for reply in (miss, shared):
+            assert reply.ok and len(reply.results) == 2
+        assert [r["source"] for r in hit.results] == ["memory"] * 2
+        assert [r["source"] for r in disk.results] == ["disk"] * 2
+        assert cold["type"] == "status"
+        counters = warm["scheduler"]["counters"]
+        # Concurrent handlers keep the scheduler's books exact: one
+        # simulation per key, and every request accounted for.
+        assert counters["jobs_simulated"] == len(names)
+        assert counters["jobs_cancelled"] == 1
+        assert counters["jobs_requested"] == 4 * len(names) + 1
+
+    def test_harness_flags_a_blocking_handler(self, fresh_cache, monkeypatch):
+        """The check is live: a status handler that blocks the loop for
+        longer than the threshold is reported, naming its handler."""
+        real = ExperimentServer._status_message
+
+        def blocking(self, cache):
+            time.sleep(3 * STALL_SECONDS)
+            return real(self, cache)
+
+        monkeypatch.setattr(ExperimentServer, "_status_message", blocking)
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                return await client.status()
+
+        status, stalls = run_debug(_with_server(body))
+        assert status["type"] == "status"
+        assert any("_handle_client" in stall for stall in stalls), stalls
 
 
 class TestOneJobBody:
