@@ -105,7 +105,9 @@ def _config_repr(config: SimConfig) -> bytes:
     return encoded
 
 
-def cache_key(workload: str, n_instructions: int, config: SimConfig) -> str:
+def cache_key(
+    workload: str, n_instructions: int, config: SimConfig, token: str | None = None
+) -> str:
     """Stable content key for one (workload, config, length) simulation.
 
     The sha256 of ``v{CACHE_VERSION}|{token}|{n_instructions}|{config!r}``.
@@ -113,17 +115,19 @@ def cache_key(workload: str, n_instructions: int, config: SimConfig) -> str:
     deterministic functions of the committed generator), so existing
     cached results stay valid.  Ingested traces are keyed by
     ``name@digest`` — the content token from the trace store — so the
-    key tracks the actual trace bytes, not just the label.
+    key tracks the actual trace bytes, not just the label.  ``token`` is
+    :func:`~repro.workloads.store.cache_token` of ``workload`` when the
+    caller has already resolved it.
     """
-    digest = hashlib.sha256(
-        f"v{CACHE_VERSION}|{cache_token(workload)}|{n_instructions}|".encode()
-    )
+    if token is None:
+        token = cache_token(workload)
+    digest = hashlib.sha256(f"v{CACHE_VERSION}|{token}|{n_instructions}|".encode())
     digest.update(_config_repr(config))
     return digest.hexdigest()[:32]
 
 
-def _entry_path(key: str) -> Path:
-    return _cache_dir() / f"{key}.pkl"
+def _entry_path(key: str, directory: Path | None = None) -> Path:
+    return (directory if directory is not None else _cache_dir()) / f"{key}.pkl"
 
 
 def _encode_entry(key: str, result: SimResult) -> bytes:
@@ -151,15 +155,16 @@ def _decode_entry(key: str, raw: bytes) -> SimResult:
     return SimResult.from_dict(state, config)
 
 
-def _load_disk(key: str) -> SimResult | None:
-    """Load a verified entry from disk; drop anything suspect.
+def _load_disk(key: str, directory: Path | None = None) -> SimResult | None:
+    """Load a verified entry from disk (``directory``, default the cache
+    directory now); drop anything suspect.
 
     Hits and misses are counted by :func:`probe`, so a job body that
     re-opens an entry after the probe does not count it twice.
     """
     if not _disk_enabled():
         return None
-    path = _entry_path(key)
+    path = _entry_path(key, directory)
     if not path.exists():
         return None
     try:
@@ -177,11 +182,13 @@ def _load_disk(key: str) -> SimResult | None:
         return None
 
 
-def _store_disk(key: str, result: SimResult) -> None:
-    """Atomically persist one entry: temp file in-dir, then ``os.replace``."""
+def _store_disk(key: str, result: SimResult, directory: Path | None = None) -> None:
+    """Atomically persist one entry: temp file in-dir, then ``os.replace``
+    (``directory``, default the cache directory now)."""
     if not _disk_enabled():
         return
-    directory = _cache_dir()
+    if directory is None:
+        directory = _cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
         blob = _encode_entry(key, result)
@@ -191,7 +198,7 @@ def _store_disk(key: str, result: SimResult) -> None:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
-            os.replace(tmp_name, _entry_path(key))
+            os.replace(tmp_name, _entry_path(key, directory))
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -264,6 +271,7 @@ def run_job(
     observe: bool = False,
     trace_wire: dict[str, Any] | None = None,
     key: str | None = None,
+    cache_dir: Path | None = None,
 ) -> JobOutput:
     """The job body: produce one result the caches missed, and store it.
 
@@ -283,7 +291,14 @@ def run_job(
     pickle boundary and a thread-mode slot cannot record them twice; the
     caller records them with :func:`record_spans`.  ``key`` is the job's
     :func:`cache_key` when the caller holds it (computed here otherwise).
+
+    ``cache_dir`` is the cache directory the engine bound when it handed
+    the job to a worker (resolved here otherwise), so a job that outlives
+    the server which submitted it (an abandoned thread-slot job) stores
+    there, not into whatever ``REPRO_SIM_CACHE_DIR`` names by the time it
+    finishes.
     """
+    directory = cache_dir if cache_dir is not None else _cache_dir()
     start = time.perf_counter()  # lint-ok: SIM002 job timing telemetry, never touches results
     sink = SpanSink() if telemetry.telemetry_enabled() else None
     job_span = (
@@ -297,7 +312,7 @@ def run_job(
     )
     if key is None:
         key = cache_key(workload, n_instructions, config)
-    result = _load_disk(key)
+    result = _load_disk(key, directory)
     taxonomy: dict[str, Any] | None = None
     source = "disk"
     if result is None:
@@ -315,7 +330,7 @@ def run_job(
                 taxonomy = sim.observer.taxonomy.as_dict()
         else:
             result = simulate(spec.trace, config, name=workload)
-        _store_disk(key, result)
+        _store_disk(key, result, directory)
         if sink is not None and sim_span is not None:
             sink.finish(sim_span, instructions=result.instructions)
     spans: list[dict[str, Any]] = []
@@ -332,6 +347,7 @@ def job_entry(
     observe: bool = False,
     trace_wire: dict[str, Any] | None = None,
     key: str | None = None,
+    cache_dir: Path | None = None,
 ) -> JobOutput:
     """The worker seam: what ``ParallelRunner`` and the scheduler's slots
     run for each job, in process or in a pool worker.
@@ -343,7 +359,7 @@ def job_entry(
     function).  Doubles call :func:`run_job` for the real work, passing
     on the trailing arguments.
     """
-    return run_job(workload, config, n_instructions, observe, trace_wire, key)
+    return run_job(workload, config, n_instructions, observe, trace_wire, key, cache_dir)
 
 
 def record_spans(spans: list[dict[str, Any]]) -> None:

@@ -42,7 +42,7 @@ import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.context import BaseContext
 from typing import Any
 
@@ -125,16 +125,22 @@ class SimJob:
     ``key`` is the job's result-cache key, computed at its first read and
     kept for the job's life: dedup, quarantine, single-flight, the cache
     probe and the reply all read that one value.  A job built after an
-    ingested trace is re-registered gets the new trace's key.
+    ingested trace is re-registered gets the new trace's key.  ``token``
+    is the workload's cache token when the builder has already resolved
+    it (a served matrix reads the trace-store manifest once for all its
+    jobs); it is not part of the job's eq, hash or repr.
     """
 
     workload: str
     config: SimConfig
     n_instructions: int = 40_000
+    token: str | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def key(self) -> str:
-        return _runner.cache_key(self.workload, self.n_instructions, self.config)
+        return _runner.cache_key(
+            self.workload, self.n_instructions, self.config, self.token
+        )
 
     def describe(self) -> str:
         return f"{self.workload}@{self.n_instructions}"
@@ -307,7 +313,8 @@ class WorkerSlot:
         self, job: SimJob, observe: bool, trace_wire: dict[str, Any] | None
     ) -> Future[_runner.JobOutput]:
         """Hand ``job`` to this slot's worker, starting one if the slot has
-        none and replacing one that died while idle."""
+        none and replacing one that died while idle.  The job stores its
+        result under the cache directory current now."""
         if self._pool is not None and getattr(self._pool, "_broken", False):
             self.restart()
         if self._pool is None:
@@ -320,6 +327,7 @@ class WorkerSlot:
             observe,
             trace_wire,
             job.key,
+            _runner._cache_dir(),
         )
 
     def restart(self) -> None:

@@ -15,8 +15,13 @@ it redirects fetch).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.isa.instruction import BranchClass
+
+#: What an untouched set reads as.  Never written: ``update`` gives a set
+#: its own dict before storing into it.
+_NO_ENTRIES: dict[int, Any] = {}
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,9 @@ class BTB:
     """Set-associative BTB with true LRU per set.
 
     Sets are dicts keyed by full PC; Python's insertion order doubles as
-    the LRU order (oldest first), with hits reinserted at the MRU end.
+    the LRU order (oldest first), with hits reinserted at the MRU end.  A
+    set is allocated by its first update, so the 8K-set baseline costs
+    only the sets a run's taken branches reach.
     """
 
     def __init__(self, config: BTBConfig | None = None) -> None:
@@ -69,7 +76,8 @@ class BTB:
         if self.config.n_entries % self.config.ways:
             raise ValueError("n_entries must be a multiple of ways")
         self._n_sets = self.config.n_sets
-        self._sets: list[dict[int, BTBEntry]] = [dict() for _ in range(self._n_sets)]
+        #: set index -> {pc: entry} in LRU order, for updated sets only.
+        self._sets: dict[int, dict[int, BTBEntry]] = {}
         self.lookups = 0
         self.hits = 0
 
@@ -84,7 +92,7 @@ class BTB:
     def lookup(self, pc: int) -> BTBEntry | None:
         """Query the BTB; hits refresh LRU."""
         self.lookups += 1
-        entries = self._sets[self._set_index(pc)]
+        entries = self._sets.get(self._set_index(pc), _NO_ENTRIES)
         entry = entries.get(pc)
         if entry is None:
             return None
@@ -96,11 +104,14 @@ class BTB:
 
     def peek(self, pc: int) -> BTBEntry | None:
         """Query without touching LRU or stats (for instrumentation)."""
-        return self._sets[self._set_index(pc)].get(pc)
+        return self._sets.get(self._set_index(pc), _NO_ENTRIES).get(pc)
 
     def update(self, pc: int, branch_class: BranchClass, target: int) -> None:
         """Install or refresh the entry for a taken branch."""
-        entries = self._sets[self._set_index(pc)]
+        index = self._set_index(pc)
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = {}
         entry = entries.get(pc)
         if entry is not None:
             entry.target = target
@@ -148,10 +159,9 @@ class RegionBTB:
         if n_region_entries % self.config.ways:
             n_region_entries -= n_region_entries % self.config.ways
         self._n_sets = max(1, n_region_entries // self.config.ways)
-        #: set -> {region: {offset: BTBEntry}}
-        self._sets: list[dict[int, dict[int, BTBEntry]]] = [
-            dict() for _ in range(self._n_sets)
-        ]
+        #: set -> {region: {offset: BTBEntry}}, allocated by a set's first
+        #: update like :class:`BTB`'s.
+        self._sets: dict[int, dict[int, dict[int, BTBEntry]]] = {}
         self.lookups = 0
         self.hits = 0
 
@@ -167,7 +177,7 @@ class RegionBTB:
 
     def _find(self, pc: int, touch: bool) -> BTBEntry | None:
         region = self._region_of(pc)
-        entries = self._sets[self._set_index(region)]
+        entries = self._sets.get(self._set_index(region), _NO_ENTRIES)
         branches = entries.get(region)
         if branches is None:
             return None
@@ -188,7 +198,10 @@ class RegionBTB:
 
     def update(self, pc: int, branch_class: BranchClass, target: int) -> None:
         region = self._region_of(pc)
-        entries = self._sets[self._set_index(region)]
+        index = self._set_index(region)
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = {}
         branches = entries.get(region)
         if branches is None:
             if len(entries) >= self.config.ways:

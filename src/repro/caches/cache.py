@@ -9,7 +9,14 @@ the behaviour the paper's µ-op-cache MSHR and L1I MSHR exhibit.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+
+#: What an untouched set reads as.  Never written: only
+#: :meth:`SetAssocCache.allocate` stores a line, and it first gives the set
+#: its own dict.
+_NO_LINES: dict[int, None] = {}
 
 
 @dataclass(frozen=True)
@@ -34,13 +41,16 @@ class SetAssocCache:
 
     Addresses are *byte* addresses; lines are tracked at ``line_size``
     granularity.  The data payload is irrelevant for timing, so only tags
-    are stored.
+    are stored.  A set is allocated when its first line is installed, so
+    an LLC whose geometry has tens of thousands of sets costs only the
+    sets a run touches; :meth:`all_sets` shows every set.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._n_sets = config.n_sets
-        self._sets: list[dict[int, None]] = [dict() for _ in range(self._n_sets)]
+        #: set index -> {line: None} in LRU order, for touched sets only.
+        self._sets: dict[int, dict[int, None]] = {}
         # line -> fill-ready cycle for in-flight misses.
         self._mshr: dict[int, int] = {}
         self.hits = 0
@@ -67,12 +77,12 @@ class SetAssocCache:
     def probe(self, addr: int) -> bool:
         """Tag check without any state change."""
         line = self.line_of(addr)
-        return line in self._sets[self._set_index(line)]
+        return line in self._sets.get(self._set_index(line), _NO_LINES)
 
     def touch(self, addr: int) -> bool:
         """Tag check that refreshes LRU on hit (no fill on miss)."""
         line = self.line_of(addr)
-        entries = self._sets[self._set_index(line)]
+        entries = self._sets.get(self._set_index(line), _NO_LINES)
         if line in entries:
             del entries[line]
             entries[line] = None
@@ -82,8 +92,11 @@ class SetAssocCache:
     def allocate(self, addr: int) -> None:
         """Install a line (evicting LRU if the set is full)."""
         line = self.line_of(addr)
-        entries = self._sets[self._set_index(line)]
-        if line in entries:
+        index = self._set_index(line)
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = {}
+        elif line in entries:
             del entries[line]
         elif len(entries) >= self.config.ways:
             victim = next(iter(entries))
@@ -96,7 +109,7 @@ class SetAssocCache:
         line = self.line_of(addr)
         if self.shadow is not None:
             self.shadow.invalidate(line)
-        entries = self._sets[self._set_index(line)]
+        entries = self._sets.get(self._set_index(line), _NO_LINES)
         if line in entries:
             del entries[line]
             return True
@@ -116,7 +129,7 @@ class SetAssocCache:
         """
         line = self.line_of(addr)
         self._drain_mshr(cycle)
-        entries = self._sets[self._set_index(line)]
+        entries = self._sets.get(self._set_index(line), _NO_LINES)
         # A line still in the MSHR was allocated but its fill has not
         # arrived: secondary misses merge and wait for the primary.
         if line in self._mshr:
@@ -157,10 +170,19 @@ class SetAssocCache:
         for line in done:
             del self._mshr[line]
 
+    def all_sets(self) -> list[Mapping[int, None]]:
+        """Read-only view of every set in index order, each ``{line: None}``
+        in LRU order (oldest first); a set never filled reads empty."""
+        sets = self._sets
+        return [
+            MappingProxyType(sets.get(index, _NO_LINES)) for index in range(self._n_sets)
+        ]
+
     def check_invariants(self) -> None:
         """Sim-sanitizer hook: geometry bounds and oracle agreement."""
         name = self.config.name
-        for index, entries in enumerate(self._sets):
+        sets = self.all_sets()
+        for index, entries in enumerate(sets):
             assert len(entries) <= self.config.ways, (
                 f"{name} set {index} holds {len(entries)} lines "
                 f"> {self.config.ways} ways"
@@ -175,7 +197,7 @@ class SetAssocCache:
                 f"{name}: {self.shadow_mismatches} hit/miss disagreements "
                 f"with the reference cache oracle"
             )
-            assert self._sets == self.shadow.sets, (
+            assert sets == self.shadow.sets, (
                 f"{name}: contents diverged from the reference cache oracle"
             )
 

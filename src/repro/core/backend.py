@@ -48,14 +48,20 @@ class Backend:
         self._branch_latency = config.branch_latency
         self._issue_width = config.issue_width
         self._commit_width = config.commit_width
-        #: Completion cycle per dispatched trace index.  Kept for the whole
-        #: run: traces are tens of kilo-instructions, so this stays small,
-        #: and it doubles as the dependency-lookup table.
-        self._completion: dict[int, int] = {}
+        #: Completion cycle by trace index, one pointer per instruction;
+        #: only the first ``_dispatched`` entries are meaningful (µ-ops
+        #: dispatch in trace order).  Kept for the whole run: it doubles as
+        #: the dependency-lookup table, and other components read it
+        #: through :meth:`completion_of`.
+        self._completion: list[int] = [0] * len(trace)
+        self._dispatched = 0
         #: ROB: (trace_index, completion_cycle), dispatch order.
         self._rob: deque[tuple[int, int]] = deque()
         self.committed = 0
-        #: Completions scheduled per cycle (virtual execution ports).
+        #: Completions booked per cycle (virtual execution ports).  Only
+        #: cycles after the current one are ever booked, so a µ-op's slot
+        #: is dropped when it retires: the map holds at most one slot per
+        #: ROB entry instead of one per simulated cycle.
         self._exec_busy: dict[int, int] = {}
         #: Optional callback invoked with each retired trace index, in
         #: commit order — the differential harness's commit-stream tap.
@@ -90,17 +96,21 @@ class Backend:
             # the ALU backlog.
             completion = cycle + 1 + self._branch_latency
             self._completion[index] = completion
+            self._dispatched += 1
             self._rob.append((index, completion))
             return completion
 
         # Latency class and dependency distance come from a PC hash
         # (repro.core.kernel.columns), precomputed per trace.
-        dep_done = self._completion.get(index - self._distance[index], 0)
         earliest = cycle + 1
-        if dep_done > earliest:
-            earliest = dep_done
+        producer = index - self._distance[index]
+        if producer >= 0:
+            dep_done = self._completion[producer]
+            if dep_done > earliest:
+                earliest = dep_done
         completion = self._schedule(earliest + self._latency[index])
         self._completion[index] = completion
+        self._dispatched += 1
         self._rob.append((index, completion))
         return completion
 
@@ -123,8 +133,11 @@ class Backend:
         retired = 0
         hook = self.commit_hook
         rob = self._rob
+        release = self._exec_busy.pop
         while retired < self._commit_width and rob and rob[0][1] <= cycle:
             entry = rob.popleft()
+            # Its completion cycle is past: no later µ-op can book it.
+            release(entry[1], None)
             if hook is not None:
                 hook(entry[0])
             retired += 1
@@ -138,7 +151,7 @@ class Backend:
     @property
     def dispatched(self) -> int:
         """Total µ-ops dispatched so far (each trace index exactly once)."""
-        return len(self._completion)
+        return self._dispatched
 
     def check_invariants(self) -> None:
         """Sim-sanitizer hook: ROB bounds and committed-µ-op conservation.
@@ -153,7 +166,7 @@ class Backend:
         assert len(rob) <= self.config.rob_entries, (
             f"ROB holds {len(rob)} > {self.config.rob_entries} entries"
         )
-        dispatched = len(self._completion)
+        dispatched = self._dispatched
         assert self.committed + len(rob) == dispatched, (
             f"µ-op conservation broken: committed {self.committed} + "
             f"ROB {len(rob)} != dispatched {dispatched}"
@@ -169,5 +182,7 @@ class Backend:
             )
 
     def completion_of(self, index: int) -> int | None:
-        """Completion cycle of a dispatched (not yet retired) instruction."""
-        return self._completion.get(index)
+        """Completion cycle of a dispatched instruction, else None."""
+        if 0 <= index < self._dispatched:
+            return self._completion[index]
+        return None

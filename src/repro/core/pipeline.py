@@ -285,7 +285,7 @@ class Simulator:
         bpu = self.bpu
         stalled = bpu.stalled_on
         if stalled is not None:
-            completion = backend._completion.get(stalled)
+            completion = backend.completion_of(stalled)
             if completion is not None:
                 if completion <= cycle:
                     return None  # resolution is due
@@ -341,6 +341,7 @@ class Simulator:
         max_cycles = self.MAX_CPI * max(1, n)
 
         backend = self.backend
+        completion_of = backend.completion_of
         fetch = self.fetch
         bpu = self.bpu
         ftq = self.ftq
@@ -385,7 +386,7 @@ class Simulator:
             # Branch resolution: at most one outstanding misprediction.
             stalled = bpu.stalled_on
             if stalled is not None:
-                completion = backend._completion.get(stalled)
+                completion = completion_of(stalled)
                 if completion is not None and completion <= cycle:
                     bpu.redirect(cycle)
                     fetch.on_redirect(cycle, stalled + 1)

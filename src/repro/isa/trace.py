@@ -84,15 +84,38 @@ class Trace:
         Per-element numpy indexing returns numpy scalars whose creation and
         ``int()`` conversion dominate the simulator's per-instruction cost;
         the hot components index these lists instead.
+
+        The PC-valued columns share one int object per distinct address
+        (a trace revisits a few thousand PCs at most), so each column costs
+        one pointer per instruction.  ``next_pcs`` is ``pcs[1:]`` plus the
+        last record's successor, since in a connected trace (what
+        :meth:`validate` enforces) each successor is the following PC; the
+        breaks of an unvalidated trace are patched in from the recorded
+        column.
         """
         columns = self._list_columns
         if columns is None:
+            shared: dict[int, int] = {}  # value -> its one int object
+            share = shared.setdefault
+            raw = self.pcs.tolist()
+            pcs: list[int] = list(map(share, raw, raw))
+            # Most records carry target 0, a cached small int.
+            targets: list[int] = self.targets.tolist()
+            for index in np.flatnonzero(self.targets).tolist():
+                targets[index] = share(targets[index], targets[index])
+            next_pcs = pcs[1:]
+            if len(self):
+                next_pcs.append(0)
+                breaks = np.nonzero(self.next_pcs[:-1] != self.pcs[1:])[0].tolist()
+                for index in [*breaks, len(self) - 1]:
+                    successor = int(self.next_pcs[index])
+                    next_pcs[index] = share(successor, successor)
             columns = self._list_columns = (
-                self.pcs.tolist(),
+                pcs,
                 self.branch_classes.tolist(),
                 self.takens.tolist(),
-                self.targets.tolist(),
-                self.next_pcs.tolist(),
+                targets,
+                next_pcs,
             )
         return columns
 

@@ -36,7 +36,7 @@ from repro.core.configs import config_from_spec
 from repro.core.pipeline import SimResult
 from repro.isa import TraceFormatError
 from repro.observe.telemetry import SpanContext
-from repro.workloads import SUITE, ingested_names
+from repro.workloads import SUITE, IngestedWorkload, cache_token, ingested_entries
 
 __all__ = [
     "ERROR_CODES",
@@ -109,16 +109,19 @@ def expand_matrix(matrix: object) -> list[SimJob]:
     for name in workloads:
         if not isinstance(name, str):
             raise ServeError("bad-request", f"workload name {name!r} is not a string")
-    # Names outside the suite are checked against one manifest read.
+    # Names outside the suite are checked, and keyed, against one
+    # manifest read.
     outside = [name for name in workloads if name not in SUITE]
+    ingested: dict[str, IngestedWorkload] = {}
     if outside:
         try:
-            ingested = set(ingested_names())
+            ingested = ingested_entries()
         except TraceFormatError:
-            ingested = set()
+            pass
         for name in outside:
             if name not in ingested:
                 raise ServeError("unknown-workload", f"unknown workload {name!r}")
+    tokens = {name: cache_token(name, ingested) for name in workloads}
     specs = matrix.get("configs", [{}])
     if not isinstance(specs, list) or not specs:
         raise ServeError("bad-request", "matrix.configs must be a non-empty list")
@@ -140,7 +143,7 @@ def expand_matrix(matrix: object) -> list[SimJob]:
         except ValueError as error:
             raise ServeError("bad-request", str(error)) from error
         for name in workloads:
-            job = SimJob(str(name), config, n_instructions)
+            job = SimJob(name, config, n_instructions, tokens[name])
             jobs.setdefault(job.key, job)
     return list(jobs.values())
 

@@ -217,12 +217,12 @@ _register(
 
 def _inject_l1i_lru_skip():
     """L1I hits stop refreshing recency — replacement decays to FIFO."""
-    from repro.caches.cache import SetAssocCache
+    from repro.caches.cache import _NO_LINES, SetAssocCache
 
     def access(self, addr, cycle, fill_latency):
         line = self.line_of(addr)
         self._drain_mshr(cycle)
-        entries = self._sets[self._set_index(line)]
+        entries = self._sets.get(self._set_index(line), _NO_LINES)
         if line in self._mshr:
             self.misses += 1
             self.mshr_merges += 1

@@ -83,8 +83,10 @@ class RefSetAssocCache:
 
     Operates on *line numbers* (the timing model's
     :meth:`~repro.caches.cache.SetAssocCache.line_of` granularity).  The
-    per-set structure intentionally matches the timing model's
-    list-of-dicts layout so live shadow comparison is one ``==``.
+    per-set structure matches the timing model's
+    :meth:`~repro.caches.cache.SetAssocCache.all_sets` view (a list of
+    ``{line: None}`` sets in index order), so live shadow comparison is
+    one ``==``.
     """
 
     def __init__(self, n_sets: int, ways: int) -> None:

@@ -132,10 +132,10 @@ def _inject_cache_corrupt_read():
     real_load = _runner._load_disk
     victim = _victim_key()
 
-    def load(key: str):
+    def load(key: str, directory=None):
         if key == victim:
             raise OSError("injected cache-tier read failure")
-        return real_load(key)
+        return real_load(key, directory)
 
     return _patched_attr(_runner, "_load_disk", load)
 

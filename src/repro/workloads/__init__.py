@@ -26,6 +26,7 @@ from repro.workloads.store import (
     IngestedWorkload,
     cache_token,
     ingest_trace,
+    ingested_entries,
     ingested_names,
     is_ingested,
     load_ingested,
@@ -60,6 +61,7 @@ __all__ = [
     "IngestedWorkload",
     "cache_token",
     "ingest_trace",
+    "ingested_entries",
     "ingested_names",
     "is_ingested",
     "load_ingested",

@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,7 @@ __all__ = [
     "IngestedWorkload",
     "cache_token",
     "ingest_trace",
+    "ingested_entries",
     "ingested_names",
     "is_ingested",
     "load_ingested",
@@ -215,6 +217,12 @@ def ingest_trace(
     return meta
 
 
+def ingested_entries() -> dict[str, IngestedWorkload]:
+    """Every registered ingested trace's manifest entry, by name (one
+    manifest read, e.g. to key a whole matrix with :func:`cache_token`)."""
+    return _read_manifest()
+
+
 def ingested_names() -> list[str]:
     """Sorted names of every registered ingested trace."""
     return sorted(_read_manifest())
@@ -232,7 +240,9 @@ def resolve_meta(name: str) -> IngestedWorkload | None:
     return _read_manifest().get(name)
 
 
-def cache_token(name: str) -> str:
+def cache_token(
+    name: str, entries: Mapping[str, IngestedWorkload] | None = None
+) -> str:
     """Result-cache identity for workload ``name``.
 
     Built-in suite workloads are identified by name alone (their traces
@@ -240,11 +250,12 @@ def cache_token(name: str) -> str:
     reading the manifest: :func:`ingest_trace` refuses suite names and
     :func:`~repro.workloads.suite.load_workload` resolves the suite first.
     Ingested traces append the content digest, so the cache key tracks the
-    actual trace bytes.
+    actual trace bytes.  ``entries`` is a manifest the caller has already
+    read (:func:`ingested_entries`); without it the manifest is read here.
     """
     if name in SUITE:
         return name
-    meta = resolve_meta(name)
+    meta = (entries if entries is not None else _read_manifest()).get(name)
     if meta is None:
         return name
     return f"{name}@{meta.digest[:16]}"

@@ -132,9 +132,8 @@ class TestStore:
         monkeypatch.setattr(store, "_read_manifest", counting)
         jobs = expand_matrix({"workloads": [*names, "fp_01"], "n_instructions": 100})
         assert [job.workload for job in jobs] == [*names, "fp_01"]
-        # One read validates every name; each ingested job's key reads
-        # the manifest once more, for its content digest (cache_token).
-        assert len(reads) == 1 + len(names)
+        # One read validates every name and keys every ingested job.
+        assert len(reads) == 1
         reads.clear()
         with pytest.raises(ServeError) as excinfo:
             expand_matrix({"workloads": [*names, "nope"]})

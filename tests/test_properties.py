@@ -21,7 +21,9 @@ class TestCacheProperties:
         for slot in accesses:
             cache.access(slot * 64, cycle, fill_latency=3)
             cycle += 10
-        for entries in cache._sets:
+        sets = cache.all_sets()
+        assert len(sets) == cache.config.n_sets
+        for entries in sets:
             assert len(entries) <= ways
 
     @given(accesses=st.lists(st.integers(0, 31), min_size=1, max_size=80))

@@ -106,7 +106,7 @@ class TestCacheVsReference:
             if not hit:
                 live.allocate(addr)
             assert hit == ref.access(line)
-            assert live._sets == ref.sets
+            assert live.all_sets() == ref.sets
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(lines=st.lists(st.integers(min_value=0, max_value=31), max_size=60))
@@ -121,4 +121,4 @@ class TestCacheVsReference:
             hit, _ready = live.access(line * config.line_size, cycle, fill_latency=1)
             assert hit == ref.access(line)
             cycle += 1_000  # let every fill land before the next access
-        assert live._sets == ref.sets
+        assert live.all_sets() == ref.sets

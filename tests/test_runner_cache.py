@@ -201,8 +201,8 @@ class TestSingleFlight:
         real_store = runner._store_disk
         inside: list = []
 
-        def store_then_race(key, result):
-            real_store(key, result)
+        def store_then_race(key, result, directory=None):
+            real_store(key, result, directory)
             racer = threading.Thread(target=lambda: inside.append(_simulate_once(3_000)))
             racer.start()
             racer.join()

@@ -386,6 +386,52 @@ class TestCancellation:
         cancelled_key = runner.cache_key("int_01", N_INSTRUCTIONS, SimConfig())
         assert cancelled_key not in run_counter
 
+    def test_abandoned_job_stores_where_it_was_submitted(
+        self, fresh_cache, monkeypatch, tmp_path_factory
+    ):
+        """A cancelled thread-slot job cannot be killed: it finishes after
+        its server closed, when the cache directory may name the next
+        server's.  It must store into the directory it was submitted
+        under, so the next server starts with an empty cache."""
+        release = threading.Event()
+        finished = threading.Event()
+
+        def blocking(workload, config, n_instructions, *args):
+            release.wait(30.0)
+            try:
+                return runner.run_job(workload, config, n_instructions, *args)
+            finally:
+                finished.set()
+
+        monkeypatch.setattr(runner, "job_entry", blocking)
+
+        async def abandon(server):
+            async with ServeClient(port=server.port) as client:
+                victim = asyncio.create_task(
+                    client.run(
+                        ["srv_02"], n_instructions=N_INSTRUCTIONS, request_id="victim"
+                    )
+                )
+                await _until_running(client)
+                await client.cancel("victim")
+                with pytest.raises(ServeRequestError):
+                    await victim
+            return True
+
+        assert run_async(_with_server(abandon, shards=1))
+        next_cache = tmp_path_factory.mktemp("next-cache")
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(next_cache))
+        release.set()
+        assert finished.wait(60.0)
+
+        async def first_status(server):
+            async with ServeClient(port=server.port) as client:
+                return await client.status()
+
+        status = run_async(_with_server(first_status))
+        assert status["cache"]["disk_entries"] == 0
+        assert len(list(fresh_cache.glob("*.pkl"))) == 1
+
 
 class TestPriority:
     def test_higher_priority_jobs_run_first(self, fresh_cache, monkeypatch):
