@@ -6,16 +6,31 @@ uses a 64KB-class instance; UCP optionally adds a 4KB-class instance
 (Alt-Ind) on the alternate path (paper Section IV-C), so like TAGE the
 hashes run against a detachable :class:`~repro.common.history.BranchHistory`.
 With ``share=`` its folds join the conditional predictor's register, so a
-path's history is pushed and copied once for both predictors.
+path's history is pushed and copied once for both predictors.  As in
+TAGE, a consult hashes either from a live register (:meth:`ITTAGE.hash`)
+or from precomputed rows (:meth:`ITTAGE.hash_rows`), then reads the
+tables in :meth:`ITTAGE.consult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Any
 
-from repro.branch.tage import path_lane_term, pc_lane_terms
-from repro.common.history import LANE_BITS, LANE_BYTEORDER, BranchHistory, LaneTerms, lane_struct
+import numpy as np
+import numpy.typing as npt
+
+from repro.branch.tage import index_row, path_lane_term, pc_lane_terms
+from repro.common.history import (
+    LANE_BITS,
+    LANE_BYTEORDER,
+    BranchHistory,
+    LaneRows,
+    LaneTerms,
+    lane_struct,
+    row_dtype,
+)
 
 
 @dataclass(frozen=True)
@@ -117,48 +132,69 @@ class ITTAGE:
         self._path_terms = LaneTerms(partial(path_lane_term, n_tables=n))
         self._alloc_seed = 0x2545F491
 
-    def _index(self, pc: int, table: int, histories: BranchHistory) -> int:
-        """One table's index (the reference for :meth:`predict`'s lanes)."""
-        fold = histories.direction.lane(self._index_shift // LANE_BITS + table)
-        path = histories.path.value & self._size_mask
-        pc_bits = pc >> 2
-        return (pc_bits ^ (pc_bits >> (table + 2)) ^ fold ^ (path >> (table & 3))) & self._size_mask
-
-    def _tag(self, pc: int, table: int, histories: BranchHistory) -> int:
-        """One table's tag (the reference for :meth:`predict`'s lanes)."""
-        fold = histories.direction.lane(self._tag_shift // LANE_BITS + table)
-        return ((pc >> 2) ^ fold) & self._tag_mask
-
-    def predict(self, pc: int, histories: BranchHistory | None = None) -> ITTAGEPrediction:
-        histories = histories or self.histories
-        pred = ITTAGEPrediction()
-        pred.pc = pc
-        # Every table's index and tag from the packed folds at once.
-        n_tables = self.config.n_tables
+    def hash(self, pc: int, histories: BranchHistory, pred: ITTAGEPrediction) -> None:
+        """Set ``pred.indices`` and ``pred.tags`` from a live register:
+        every table at once from the packed folds."""
         index_term, tag_term = self._pc_terms[pc]
         path_term = self._path_terms[histories.path.value & self._size_mask]
         packed = histories.direction.packed
         lanes = self._lanes_mask
-        unpack, n_bytes = self._unpack, 2 * n_tables
-        pred.indices = indices = unpack(
+        unpack, n_bytes = self._unpack, 2 * self.config.n_tables
+        pred.indices = unpack(
             (((packed >> self._index_shift) & lanes) ^ index_term ^ path_term).to_bytes(
                 n_bytes, LANE_BYTEORDER
             )
         )
-        pred.tags = tags = unpack(
+        pred.tags = unpack(
             (((packed >> self._tag_shift) & lanes) ^ tag_term).to_bytes(n_bytes, LANE_BYTEORDER)
         )
-        pred.base_index = (pc >> 2) & self._base_mask
 
-        for table in range(n_tables - 1, -1, -1):
+    def hash_rows(
+        self, pcs: npt.NDArray[np.int64], lanes: LaneRows, path: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.unsignedinteger[Any]]:
+        """:meth:`hash` for many consults at once: row ``k`` is every
+        table's index, then every table's tag, for ``pcs[k]`` against the
+        register state ``lanes[l][k]`` (lane ``l``) and ``path[k]`` (see
+        :class:`~repro.common.history.LaneRows`)."""
+        n = self.config.n_tables
+        first = self._index_shift // LANE_BITS
+        tag = self._tag_shift // LANE_BITS
+        pc_bits = pcs >> 2
+        dtype = row_dtype(self.config.table_size_bits, self.config.tag_bits)
+        rows = np.empty((len(pcs), 2 * n), dtype)
+        for table in range(n):
+            rows[:, table] = index_row(pc_bits, lanes[first + table], path, table, self._size_mask)
+            rows[:, n + table] = (pc_bits ^ lanes[tag + table]) & self._tag_mask
+        return rows
+
+    def predict(self, pc: int, histories: BranchHistory | None = None) -> ITTAGEPrediction:
+        pred = ITTAGEPrediction()
+        self.hash(pc, histories or self.histories, pred)
+        self.consult(pc, pred)
+        return pred
+
+    def consult_row(self, pc: int, row: tuple[int, ...]) -> ITTAGEPrediction:
+        """:meth:`predict` from one :meth:`hash_rows` row."""
+        pred = ITTAGEPrediction()
+        n = self.config.n_tables
+        pred.indices, pred.tags = row[:n], row[n:]
+        self.consult(pc, pred)
+        return pred
+
+    def consult(self, pc: int, pred: ITTAGEPrediction) -> None:
+        """Read the tables at ``pred.indices``/``pred.tags``: the longest
+        matching table provides the target, else the base cache."""
+        pred.pc = pc
+        pred.base_index = (pc >> 2) & self._base_mask
+        indices, tags = pred.indices, pred.tags
+        for table in range(self.config.n_tables - 1, -1, -1):
             index = indices[table]
             if self._tags[table][index] == tags[table]:
                 pred.hit_bank = table
                 pred.target = self._targets[table][index]
                 pred.confidence = self._conf[table][index]
-                return pred
+                return
         pred.target = self._base[pred.base_index]
-        return pred
 
     def update(self, pred: ITTAGEPrediction, actual_target: int) -> None:
         """Train on the resolved indirect branch (history pushed separately)."""

@@ -11,20 +11,29 @@ Like :class:`~repro.branch.tage.TAGE`, the SC hashes against a detachable
 :class:`~repro.common.history.GlobalHistory` so UCP's alternate-path
 predictor can keep a divergent history without duplicating table state.
 Inside TAGE-SC-L its folds share TAGE's register (``share=``), and all
-table indices come from the packed lanes in one XOR and one unpack.
+table indices come from the packed lanes in one XOR and one unpack
+(:meth:`StatisticalCorrector.hash`), or from precomputed rows
+(:meth:`StatisticalCorrector.hash_rows`); :meth:`StatisticalCorrector.vote`
+sums the counters either way.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from typing import Any
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.common.history import (
     LANE_BITS,
     LANE_BYTEORDER,
     GlobalHistory,
+    LaneRows,
     LaneTerms,
     lane_struct,
     pack_lanes,
+    row_dtype,
 )
 
 #: History lengths of the corrector tables (0 = bias table, PC-indexed).
@@ -98,16 +107,39 @@ class StatisticalCorrector:
         """An empty register with matching geometry."""
         return self.histories.fresh()
 
-    def _indices(self, pc: int, histories: GlobalHistory) -> list[int]:
-        """Per-table indices (the reference for :meth:`predict`'s lanes)."""
-        base = pc >> 2
-        indices = []
-        for table in range(len(self.history_lengths)):
-            value = base ^ (base >> (table + 3))
+    def hash(self, pc: int, histories: GlobalHistory, pred: SCPrediction) -> None:
+        """Set ``pred.sc_indices`` from a live register: one XOR of the
+        fold lanes with the per-PC term and one unpack."""
+        n_tables = len(self._tables)
+        folds = (histories.packed >> self._fold_shift) & self._folds_mask
+        pred.sc_indices = self._unpack(
+            ((folds << (LANE_BITS * self._n_bias)) ^ self._pc_terms[pc]).to_bytes(
+                2 * n_tables, LANE_BYTEORDER
+            )
+        )
+
+    def hash_rows(
+        self,
+        pcs: npt.NDArray[np.int64],
+        lanes: LaneRows,
+        out: npt.NDArray[np.unsignedinteger[Any]] | None = None,
+    ) -> npt.NDArray[np.unsignedinteger[Any]]:
+        """:meth:`hash` for many consults at once: row ``k`` is every
+        table's index for ``pcs[k]`` against the fold state
+        ``lanes[l][k]`` (lane ``l``; see
+        :class:`~repro.common.history.LaneRows`); written into ``out``
+        when given."""
+        n_tables = len(self._tables)
+        # The history lanes map onto the tables after the bias tables.
+        first = self._fold_shift // LANE_BITS - self._n_bias
+        base = pcs >> 2
+        rows = np.empty((len(pcs), n_tables), row_dtype(self.size_bits)) if out is None else out
+        for table in range(n_tables):
+            index = base ^ (base >> (table + 3))
             if table >= self._n_bias:
-                value ^= histories.lane(self._fold_shift // LANE_BITS + table - self._n_bias)
-            indices.append(value & self._mask)
-        return indices
+                index ^= lanes[first + table]
+            rows[:, table] = index & self._mask
+        return rows
 
     def predict(
         self,
@@ -118,21 +150,23 @@ class StatisticalCorrector:
         pred: SCPrediction | None = None,
     ) -> SCPrediction:
         """Fill ``pred`` (a fresh record by default) and return it."""
-        histories = histories or self.histories
         if pred is None:
             pred = SCPrediction()
-        term = self._pc_terms[pc]
+        self.hash(pc, histories or self.histories, pred)
+        self.vote(pred, intermediate_taken, tage_weight)
+        return pred
+
+    def vote(
+        self, pred: SCPrediction, intermediate_taken: bool, tage_weight: int | None = None
+    ) -> None:
+        """Sum the counters at ``pred.sc_indices`` (however they were
+        hashed) with the intermediate prediction's vote."""
         n_tables = len(self._tables)
-        folds = (histories.packed >> self._fold_shift) & self._folds_mask
-        pred.sc_indices = indices = self._unpack(
-            ((folds << (LANE_BITS * self._n_bias)) ^ term).to_bytes(2 * n_tables, LANE_BYTEORDER)
-        )
         # Each counter votes 2*c + 1.
-        lsum = 2 * sum(map(list.__getitem__, self._tables, indices)) + n_tables
+        lsum = 2 * sum(map(list.__getitem__, self._tables, pred.sc_indices)) + n_tables
         weight = self.tage_weight if tage_weight is None else tage_weight
         pred.sc_lsum = lsum = lsum + (weight if intermediate_taken else -weight)
         pred.sc_taken = lsum >= 0
-        return pred
 
     def should_override(self, prediction: SCPrediction, intermediate_taken: bool) -> bool:
         """SC overrides when it disagrees and its sum is confident enough."""

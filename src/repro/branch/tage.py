@@ -16,24 +16,32 @@ explicitly:
   possible without duplicating table state.
 
 The folds sit in the register's packed lanes (index folds, then tag-A,
-then tag-B folds), so one predict hashes every table at once: one XOR of
-the lanes with a per-PC and a path term, and one unpack each for the
-indices and the tags.
+then tag-B folds), so one :meth:`TAGE.hash` hashes every table at once:
+one XOR of the lanes with a per-PC and a path term, and one unpack each
+for the indices and the tags.  :meth:`TAGE.hash_rows` is the same hash
+over many register states at once (numpy), for consults whose history is
+known in advance; either way :meth:`TAGE.consult` reads the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Any
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.branch.bimodal import BimodalPredictor
 from repro.common.history import (
     LANE_BITS,
     LANE_BYTEORDER,
     BranchHistory,
+    LaneRows,
     LaneTerms,
     lane_struct,
     pack_lanes,
+    row_dtype,
 )
 
 
@@ -99,6 +107,21 @@ def pc_lane_terms(pc: int, n_tables: int, size_mask: int, tag_mask: int) -> tupl
         pack_lanes([(pc_bits ^ (pc_bits >> (t + 2))) & size_mask for t in range(n_tables)]),
         pack_lanes([pc_bits & tag_mask] * n_tables),
     )
+
+
+def index_row(
+    pc_bits: npt.NDArray[np.int64],
+    fold: npt.NDArray[np.uint16],
+    path: npt.NDArray[np.int64],
+    table: int,
+    size_mask: int,
+) -> npt.NDArray[np.int64]:
+    """Table ``table``'s TAGE/ITTAGE index for every consult (``pc_bits =
+    pcs >> 2``, its fold lane and the path values): :func:`pc_lane_terms`
+    and :func:`path_lane_term`, vectorised."""
+    return (
+        pc_bits ^ (pc_bits >> (table + 2)) ^ fold ^ ((path & size_mask) >> (table & 3))
+    ) & size_mask
 
 
 def path_lane_term(path: int, n_tables: int) -> int:
@@ -194,18 +217,56 @@ class TAGE:
     # Hashing
     # ------------------------------------------------------------------
 
-    def _index(self, pc: int, table: int, histories: BranchHistory) -> int:
-        """One table's index (the reference for :meth:`predict`'s lanes)."""
-        fold = histories.direction.lane(self._index_shift // LANE_BITS + table)
-        path = histories.path.value & self._size_mask
-        pc_bits = pc >> 2
-        return (pc_bits ^ (pc_bits >> (table + 2)) ^ fold ^ (path >> (table & 3))) & self._size_mask
+    def hash(self, pc: int, histories: BranchHistory, pred: TagePrediction) -> None:
+        """Set ``pred.indices`` and ``pred.tags`` from a live register:
+        every table at once from the packed folds."""
+        index_term, tag_term = self._pc_terms[pc]
+        path_term = self._path_terms[histories.path.value & self._size_mask]
+        packed = histories.direction.packed
+        lanes = self._lanes_mask
+        unpack, n_bytes = self._unpack, 2 * self.config.n_tables
+        pred.indices = unpack(
+            (((packed >> self._index_shift) & lanes) ^ index_term ^ path_term).to_bytes(
+                n_bytes, LANE_BYTEORDER
+            )
+        )
+        pred.tags = unpack(
+            (
+                (
+                    ((packed >> self._tag_a_shift) & lanes)
+                    ^ (((packed >> self._tag_b_shift) & lanes) << 1)
+                    ^ tag_term
+                )
+                & self._tags_mask
+            ).to_bytes(n_bytes, LANE_BYTEORDER)
+        )
 
-    def _tag(self, pc: int, table: int, histories: BranchHistory) -> int:
-        """One table's tag (the reference for :meth:`predict`'s lanes)."""
-        fold_a = histories.direction.lane(self._tag_a_shift // LANE_BITS + table)
-        fold_b = histories.direction.lane(self._tag_b_shift // LANE_BITS + table)
-        return ((pc >> 2) ^ fold_a ^ (fold_b << 1)) & self._tag_mask
+    def hash_rows(
+        self,
+        pcs: npt.NDArray[np.int64],
+        lanes: LaneRows,
+        path: npt.NDArray[np.int64],
+        out: npt.NDArray[np.unsignedinteger[Any]] | None = None,
+    ) -> npt.NDArray[np.unsignedinteger[Any]]:
+        """:meth:`hash` for many consults at once: row ``k`` is every
+        table's index, then every table's tag, for ``pcs[k]`` against the
+        register state ``lanes[l][k]`` (lane ``l``) and ``path[k]`` (see
+        :class:`~repro.common.history.LaneRows`); written into ``out``
+        when given."""
+        n = self.config.n_tables
+        first = self._index_shift // LANE_BITS
+        tag_a = self._tag_a_shift // LANE_BITS
+        tag_b = self._tag_b_shift // LANE_BITS
+        pc_bits = pcs >> 2
+        dtype = row_dtype(self.config.table_size_bits, self.config.tag_bits)
+        rows = np.empty((len(pcs), 2 * n), dtype) if out is None else out
+        # One table at a time, so the temporaries stay one column long.
+        for table in range(n):
+            rows[:, table] = index_row(pc_bits, lanes[first + table], path, table, self._size_mask)
+            rows[:, n + table] = (
+                pc_bits ^ lanes[tag_a + table] ^ (lanes[tag_b + table].astype(np.int64) << 1)
+            ) & self._tag_mask
+        return rows
 
     # ------------------------------------------------------------------
     # Prediction
@@ -218,37 +279,24 @@ class TAGE:
         pred: TagePrediction | None = None,
     ) -> TagePrediction:
         """Fill ``pred`` (a fresh record by default) and return it."""
-        histories = histories or self.histories
         if pred is None:
             pred = TagePrediction()
+        self.hash(pc, histories or self.histories, pred)
+        self.consult(pc, pred)
+        return pred
+
+    def consult(self, pc: int, pred: TagePrediction) -> None:
+        """Read the tables at ``pred.indices``/``pred.tags`` (however they
+        were hashed) and fill in the rest of ``pred``."""
         pred.pc = pc
-        # Every table's index and tag from the packed folds at once.
-        n_tables = self.config.n_tables
-        index_term, tag_term = self._pc_terms[pc]
-        path_term = self._path_terms[histories.path.value & self._size_mask]
-        packed = histories.direction.packed
-        lanes = self._lanes_mask
-        unpack, n_bytes = self._unpack, 2 * n_tables
-        pred.indices = indices = unpack(
-            (((packed >> self._index_shift) & lanes) ^ index_term ^ path_term).to_bytes(
-                n_bytes, LANE_BYTEORDER
-            )
-        )
-        pred.tags = tags = unpack(
-            (
-                (
-                    ((packed >> self._tag_a_shift) & lanes)
-                    ^ (((packed >> self._tag_b_shift) & lanes) << 1)
-                    ^ tag_term
-                )
-                & self._tags_mask
-            ).to_bytes(n_bytes, LANE_BYTEORDER)
-        )
+        indices = pred.indices
         pred.bimodal_ctr = bimodal_ctr = self.bimodal.counter(pc)
 
+        # The provider is the longest matching table, the alternate the
+        # next longest.
         hit_bank = alt_bank = None
-        tag_tables = self._tags
-        for table in range(n_tables - 1, -1, -1):
+        tag_tables, tags = self._tags, pred.tags
+        for table in range(self.config.n_tables - 1, -1, -1):
             if tag_tables[table][indices[table]] == tags[table]:
                 if hit_bank is None:
                     hit_bank = table
@@ -263,8 +311,7 @@ class TAGE:
             pred.tage_provider = "bimodal"
             pred.hit_ctr = pred.alt_ctr = 0
             pred.provider_newly_allocated = False
-            return pred
-
+            return
         pred.hit_ctr = hit_ctr = self._ctrs[hit_bank][indices[hit_bank]]
         if alt_bank is not None:
             pred.alt_ctr = alt_ctr = self._ctrs[alt_bank][indices[alt_bank]]
@@ -284,7 +331,6 @@ class TAGE:
         else:
             pred.tage_taken = hit_ctr >= 0
             pred.tage_provider = "hit"
-        return pred
 
     # ------------------------------------------------------------------
     # Update

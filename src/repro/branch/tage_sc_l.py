@@ -13,17 +13,26 @@ Every prediction carries its :class:`Provider` — which component had the
 final word — and the provider's raw confidence value.  That provenance is
 exactly what the paper's Fig. 6/7 measure and what TAGE-Conf / UCP-Conf
 classify on (Section IV-A).
+
+A consult hashes either from a live history register (:meth:`TageScL.predict`)
+or from one precomputed row (:meth:`TageScL.consult_row`, rows from
+:meth:`TageScL.hash_rows`); the table reads, the loop predictor, the SC
+vote and the provider chain are one path for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.branch.loop import LoopPredictor, LoopPrediction
 from repro.branch.sc import DEFAULT_SC_LENGTHS, SCPrediction, StatisticalCorrector
 from repro.branch.tage import TAGE, TageConfig, TagePrediction
-from repro.common.history import BranchHistory
+from repro.common.history import BranchHistory, LaneRows, row_dtype
 
 
 class Provider(Enum):
@@ -97,6 +106,7 @@ class TageScL:
             use_threshold=self.config.sc_use_threshold,
             share=self.histories.direction,
         )
+        self._n_tables = self.config.tage.n_tables
 
     def make_histories(self) -> BranchHistory:
         """An empty register with the same geometry (for the alternate
@@ -110,9 +120,46 @@ class TageScL:
     def predict(
         self, pc: int, histories: BranchHistory | None = None
     ) -> TageScLPrediction:
+        """Consult with hashes from a live register (the predicted-path
+        one by default)."""
         pred = TageScLPrediction()
         # None: each component hashes its own register (the shared one).
-        self.tage.predict(pc, histories, pred)
+        if histories is None:
+            self.tage.hash(pc, self.tage.histories, pred)
+            self.sc.hash(pc, self.sc.histories, pred)
+        else:
+            self.tage.hash(pc, histories, pred)
+            self.sc.hash(pc, histories.direction, pred)
+        self._consult(pc, pred)
+        return pred
+
+    def hash_rows(
+        self, pcs: npt.NDArray[np.int64], lanes: LaneRows, path: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.unsignedinteger[Any]]:
+        """Every consult's hashes at once: row ``k`` is TAGE's indices and
+        tags, then the corrector's indices, for ``pcs[k]`` against the
+        register state ``lanes[l][k]`` (lane ``l``) and ``path[k]`` (see
+        :class:`~repro.common.history.LaneRows`); :meth:`consult_row`
+        reads one."""
+        n = 2 * self._n_tables
+        tage = self.config.tage
+        dtype = row_dtype(tage.table_size_bits, tage.tag_bits, self.config.sc_size_bits)
+        rows = np.empty((len(pcs), n + len(self.sc.history_lengths)), dtype)
+        self.tage.hash_rows(pcs, lanes, path, out=rows[:, :n])
+        self.sc.hash_rows(pcs, lanes, out=rows[:, n:])
+        return rows
+
+    def consult_row(self, pc: int, row: tuple[int, ...]) -> TageScLPrediction:
+        """:meth:`predict` from one :meth:`hash_rows` row."""
+        pred = TageScLPrediction()
+        n = self._n_tables
+        pred.indices, pred.tags, pred.sc_indices = row[:n], row[n : 2 * n], row[2 * n :]
+        self._consult(pc, pred)
+        return pred
+
+    def _consult(self, pc: int, pred: TageScLPrediction) -> None:
+        """The table reads and the provider chain, on hashed ``pred``."""
+        self.tage.consult(pc, pred)
 
         if pred.tage_provider == "hit":
             provider = Provider.HITBANK
@@ -140,21 +187,24 @@ class TageScL:
         else:
             ctr = pred.provider_ctr
             confidence = ctr if ctr >= 0 else -ctr - 1
-        weight = 4 + 10 * confidence
-        self.sc.predict(
-            pc, intermediate, histories and histories.direction, tage_weight=weight, pred=pred
-        )
+        self.sc.vote(pred, intermediate, tage_weight=4 + 10 * confidence)
         final = intermediate
         if self.sc.should_override(pred, intermediate):
             final = pred.sc_taken
             provider = Provider.SC
 
         pred.taken, pred.provider, pred.intermediate_taken = final, provider, intermediate
-        return pred
 
     # ------------------------------------------------------------------
     # Update
     # ------------------------------------------------------------------
+
+    def train(self, prediction: TageScLPrediction, taken: bool) -> None:
+        """Train all components on one resolved conditional branch; the
+        history is not pushed (see :meth:`update`)."""
+        self.loop.update(prediction.pc, taken)
+        self.sc.update(prediction, taken)
+        self.tage.update(prediction, taken)
 
     def update(self, prediction: TageScLPrediction, taken: bool) -> None:
         """Train all components and advance the predicted-path history.
@@ -163,9 +213,7 @@ class TageScL:
         direction (the pipeline repairs history on mispredictions, so the
         committed history equals the correct-path history).
         """
-        self.loop.update(prediction.pc, taken)
-        self.sc.update(prediction, taken)
-        self.tage.update(prediction, taken)
+        self.train(prediction, taken)
         self.histories.push(prediction.pc, taken)
 
     def push_unconditional(self, pc: int) -> None:

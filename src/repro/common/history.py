@@ -16,6 +16,12 @@ keyed on the raw history.  Predictors hash all their tables lane-wise from
 with per-PC terms cached in :class:`LaneTerms`).
 :class:`FoldedHistory` is the one-fold reference model of the same CSR.
 
+Where the pushed sequence is known in advance (a trace's predicted path),
+:class:`FoldRows` builds each lane's value before every push with numpy
+(:func:`history_rows` for all lanes at once), and predictors hash whole
+traces from those rows (``hash_rows``) instead of pushing a live
+register.
+
 One :class:`BranchHistory` (direction register plus path bits) holds a
 whole path's history: TAGE, the statistical corrector and ITTAGE register
 their folds on the same one, as in real cores.  The alternate-path
@@ -27,7 +33,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from struct import Struct
-from typing import Final, TypeVar
+from typing import Any, Final, Protocol, TypeVar
+
+import numpy as np
+import numpy.typing as npt
 
 #: Bits per folded lane of the packed register; folds are at most this wide.
 LANE_BITS = 16
@@ -68,6 +77,115 @@ class LaneTerms(dict[int, _T]):
     def __missing__(self, key: int) -> _T:
         value = self[key] = self.build(key)
         return value
+
+
+#: Unsigned integer arrays of any width (the builder's working type).
+_UInts = npt.NDArray[np.unsignedinteger[Any]]
+
+
+def row_dtype(*widths: int) -> np.dtype[Any]:
+    """The narrowest unsigned dtype holding values of every bit width in
+    ``widths`` (a ``hash_rows`` row's element type)."""
+    return np.dtype(np.uint8 if max(widths) <= 8 else np.uint16)
+
+
+def _rotate_left(values: _UInts, shift: _UInts | np.uint64, width: int) -> _UInts:
+    """Rotate each ``width``-bit value left by ``shift`` (below ``width``)."""
+    mask = np.uint64((1 << width) - 1)
+    return ((values << shift) | (values >> (np.uint64(width) - shift))) & mask
+
+
+def _whole_fold(bits: _UInts, width: int) -> _UInts:
+    """Column ``k``: the ``width``-bit fold of *all* of the first ``k``
+    bits (bit ``j`` at position ``(k - 1 - j) % width``), for ``k`` up to
+    ``len(bits)``.
+
+    Bit ``j`` is placed at ``(-1 - j) % width`` and XOR-accumulated; then
+    rotating column ``k`` left by ``k % width`` ages every bit into place.
+    """
+    n = len(bits)
+    placed = bits << ((-1 - np.arange(n)) % width).astype(np.uint64)
+    prefix = np.zeros(n + 1, dtype=np.uint64)
+    np.bitwise_xor.accumulate(placed, out=prefix[1:])
+    return _rotate_left(prefix, (np.arange(n + 1) % width).astype(np.uint64), width)
+
+
+def _fold(whole: _UInts, length: int, width: int) -> _UInts:
+    """A ``length``-bit fold from :func:`_whole_fold`: cancel the bits
+    older than ``length``, i.e. the whole fold ``length`` pushes earlier,
+    aged ``length`` more positions."""
+    fold = whole.copy()
+    older = whole[: max(0, len(whole) - length)]
+    fold[length:] ^= _rotate_left(older, np.uint64(length % width), width)
+    return fold
+
+
+class LaneRows(Protocol):
+    """Per-lane register states, one value per consult: ``rows[l]`` is
+    lane ``l``'s (a :class:`FoldRows`, or a :func:`history_rows` matrix)."""
+
+    def __getitem__(self, lane: int) -> npt.NDArray[np.uint16]: ...
+
+
+class FoldRows:
+    """The folds of a register pushed with ``bits`` from empty, built one
+    lane at a time on request, so no matrix of every lane is held.
+
+    ``rows[l]`` is fold ``geometry[l]``'s value at each of ``columns``,
+    where column ``k`` is the state before push ``k`` (``len(bits)``: after
+    the last).
+    """
+
+    def __init__(
+        self,
+        bits: npt.NDArray[np.uint8],
+        geometry: Geometry,
+        columns: npt.NDArray[np.intp] | slice = slice(None),
+    ) -> None:
+        self._bits = bits.astype(np.uint64)
+        self._geometry = geometry
+        self._columns = columns
+        self._wholes: dict[int, _UInts] = {}
+
+    def __len__(self) -> int:
+        return len(self._geometry)
+
+    def __getitem__(self, lane: int) -> npt.NDArray[np.uint16]:
+        length, width = self._geometry[lane]
+        whole = self._wholes.get(width)
+        if whole is None:
+            whole = self._wholes[width] = _whole_fold(self._bits, width)
+        return _fold(whole, length, width)[self._columns].astype(np.uint16)
+
+
+def path_rows(pcs: npt.NDArray[np.int64], path_bits: int) -> npt.NDArray[np.int64]:
+    """The :class:`PathHistory` value before each push of ``pcs`` and
+    after the last: a fold too, one mixed bit per push that never wraps."""
+    mixed = (((pcs >> 2) ^ (pcs >> 5)) & 1).astype(np.uint64)
+    return _fold(_whole_fold(mixed, path_bits), path_bits, path_bits).astype(np.int64)
+
+
+def history_rows(
+    pcs: npt.NDArray[np.int64],
+    bits: npt.NDArray[np.uint8],
+    geometry: Geometry,
+    path_bits: int,
+) -> tuple[npt.NDArray[np.uint16], npt.NDArray[np.int64]]:
+    """Every state a :class:`BranchHistory` passes through when pushed
+    ``(pcs[k], bits[k])`` for ``k = 0, 1, ...`` from empty.
+
+    Returns ``(lanes, path)``: ``lanes[l, k]`` is fold ``geometry[l]``'s
+    value (lane ``l`` of :attr:`GlobalHistory.packed`) and ``path[k]``
+    the :class:`PathHistory` value before push ``k``; column
+    ``len(pcs)`` is the state after the last push.  Equal to pushing a
+    live register, bit for bit (``FoldedHistory.recompute`` defines each
+    fold: raw bit ``p``, newest first, XORs into position ``p % width``).
+    """
+    rows = FoldRows(bits, geometry)
+    lanes = np.empty((len(geometry), len(bits) + 1), dtype=np.uint16)
+    for lane in range(len(geometry)):
+        lanes[lane] = rows[lane]
+    return lanes, path_rows(pcs, path_bits)
 
 
 class FoldedHistory:

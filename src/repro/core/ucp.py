@@ -8,7 +8,9 @@ using its own small predictors:
 * **Alt-BP** — an 8KB-class TAGE-SC-L whose tables are trained alongside
   the main predictor on the predicted path, but which keeps a second,
   divergent history (GHR) for the alternate path, resynchronised by copy
-  when a new alternate path starts (Section IV-C);
+  when a new alternate path starts (Section IV-C).  The predicted path is
+  the trace, so training reads its hashes from rows built once per trace
+  (:func:`repro.core.kernel.stream.get_rows`);
 * **Alt-Ind** — an optional 4KB-class ITTAGE for indirect targets, whose
   folds share the Alt-BP history registers (one push and one copy per
   path for both predictors);
@@ -41,6 +43,7 @@ from repro.branch.ras import ReturnAddressStack
 from repro.branch.tage_sc_l import TageScL, TageScLConfig
 from repro.caches.uopcache import REGION_BYTES, UopCacheEntry
 from repro.core.configs import SimConfig
+from repro.core.kernel.stream import get_rows
 from repro.core.weights import condition_weight
 from repro.frontend.bpu import BranchEvent
 from repro.isa.instruction import BranchClass
@@ -93,6 +96,12 @@ class UCPEngine:
         #: predicted path; this second one diverges along the alternate
         #: path.
         self.alt_histories = self.alt_bp.make_histories()
+        # Training follows the BPU's trace order, so its hashes come from
+        # rows built once per trace; the walk hashes live.
+        cond_rows, indirect_rows = get_rows(trace, self.alt_bp, self.alt_ind)
+        #: Row cursors: the next training consult of each predictor.
+        self.cond_rows = cond_rows.cursor()
+        self.indirect_rows = indirect_rows.cursor() if indirect_rows is not None else None
         self.alt_ras = ReturnAddressStack(self.ucp.alt_ras_entries)
 
         # Walk state.
@@ -122,6 +131,8 @@ class UCPEngine:
 
         #: repro.observe event bus; None keeps every emit a pointer test.
         self.observer = None
+        #: repro.verify sanitizer (checks each walk start), or None.
+        self.checker = None
 
         self._is_h2p: Callable[[BranchEvent], bool]
         if self.ucp.confidence == "ucp":
@@ -150,7 +161,9 @@ class UCPEngine:
             conf_pred = self._conf_perceptron.predict(event.pc)
             self._last_perceptron_h2p = perceptron_is_h2p(conf_pred)
             self._conf_perceptron.update(conf_pred, event.actual_taken)
-        alt_pred = self.alt_bp.predict(event.pc)
+        alt_pred = self.alt_bp.consult_row(event.pc, next(self.cond_rows))
+        # Trains the tables and pushes the predicted-path register, which
+        # a walk start copies.
         self.alt_bp.update(alt_pred, event.actual_taken)
 
         if not self._is_h2p(event):
@@ -161,6 +174,8 @@ class UCPEngine:
             self.stats.add("ucp_triggers_without_target")
             return
         self._start_walk(event, alt_start)
+        if self.checker is not None:
+            self.checker.on_walk_start(cycle)
 
     def on_unconditional(self, pc: int) -> None:
         if self.ucp.confidence == "perceptron":
@@ -168,9 +183,9 @@ class UCPEngine:
         self.alt_bp.push_unconditional(pc)
 
     def on_indirect(self, pc: int, target: int) -> None:
-        if self.alt_ind is None:
+        if self.indirect_rows is None:
             return
-        pred = self.alt_ind.predict(pc)
+        pred = self.alt_ind.consult_row(pc, next(self.indirect_rows))
         self.alt_ind.update(pred, target)
 
     def on_resolution(self, index: int, cycle: int) -> None:

@@ -27,7 +27,7 @@ from typing import Callable
 
 from repro.caches.cache import CacheConfig
 from repro.caches.hierarchy import HierarchyConfig
-from repro.core.configs import SimConfig
+from repro.core.configs import SimConfig, UCPConfig
 from repro.core.pipeline import Simulator
 from repro.verify.invariants import SimCheckError
 from repro.workloads import load_workload
@@ -382,6 +382,35 @@ _register(
         "restarts instantly after every misprediction (timing only)",
         expected_invariants=(RESULT_DIGEST,),
         inject=_inject_bpu_skipped_redirect_bubble,
+    )
+)
+
+
+def _inject_ucp_row_cursor_off_by_one():
+    """Alt-BP training reads its hash rows one conditional ahead."""
+    from repro.core.ucp import UCPEngine
+
+    real_on_conditional = UCPEngine.on_conditional
+
+    def on_conditional(self, event, cycle):
+        if not hasattr(self, "_cursor_skewed"):
+            # BUG: fence-post error — the row cursor starts one row in, so
+            # every training consult hashes the next conditional's history
+            # while the live register pushes this one.
+            self._cursor_skewed = next(self.cond_rows)
+        real_on_conditional(self, event, cycle)
+
+    return _patched(UCPEngine, "on_conditional", on_conditional)
+
+
+_register(
+    Fault(
+        name="ucp-row-cursor-off-by-one",
+        description="Alt-BP training reads the hash row of the next "
+        "conditional: the row cursor runs one ahead of the live register",
+        expected_invariants=("ucp-alt-history",),
+        inject=_inject_ucp_row_cursor_off_by_one,
+        config=SimConfig(ucp=UCPConfig(enabled=True)),
     )
 )
 

@@ -22,13 +22,15 @@ Adding an invariant::
 
 ``every=N`` runs it on every N-th checked cycle (for expensive deep
 scans), ``stride_one_only=True`` restricts it to per-cycle checking
-(for checks comparing adjacent-cycle deltas), and ``on_finish=True``
-defers it to end-of-run.
+(for checks comparing adjacent-cycle deltas), ``on_finish=True``
+defers it to end-of-run, and ``on_walk_start=True`` runs it at each UCP
+walk start instead of per cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable
 
 
@@ -50,6 +52,7 @@ class Invariant:
     every: int = 1
     stride_one_only: bool = False
     on_finish: bool = False
+    on_walk_start: bool = False
 
 
 #: Name -> Invariant.  Ordered; earlier entries report first on a cycle
@@ -63,6 +66,7 @@ def register_invariant(
     every: int = 1,
     stride_one_only: bool = False,
     on_finish: bool = False,
+    on_walk_start: bool = False,
 ):
     """Register ``fn(checker, cycle)`` under ``name`` (decorator)."""
 
@@ -70,7 +74,12 @@ def register_invariant(
         if name in INVARIANTS:
             raise ValueError(f"invariant {name!r} already registered")
         INVARIANTS[name] = Invariant(
-            name, fn, every=every, stride_one_only=stride_one_only, on_finish=on_finish
+            name,
+            fn,
+            every=every,
+            stride_one_only=stride_one_only,
+            on_finish=on_finish,
+            on_walk_start=on_walk_start,
         )
         return fn
 
@@ -92,6 +101,8 @@ class SimChecker:
         self.checks_run = 0
         self._prev_committed = 0
         self._prev_sources: tuple[int, int, int] | None = None
+        #: Built at the first walk start (see ``ucp-alt-history``).
+        self._alt_states = None
         self._attach_shadows()
 
     # ------------------------------------------------------------------
@@ -107,6 +118,7 @@ class SimChecker:
         sim.bpu.ras.shadow = RefRAS(sim.bpu.ras.capacity)
         if sim.ucp is not None:
             sim.ucp.alt_ras.shadow = RefRAS(sim.ucp.alt_ras.capacity)
+            sim.ucp.checker = self
 
     # ------------------------------------------------------------------
     # Driving
@@ -117,7 +129,7 @@ class SimChecker:
             return
         self.cycles_checked += 1
         for invariant in INVARIANTS.values():
-            if invariant.on_finish:
+            if invariant.on_finish or invariant.on_walk_start:
                 continue
             if invariant.stride_one_only and self.stride != 1:
                 continue
@@ -128,6 +140,13 @@ class SimChecker:
     def on_finish(self, cycle: int) -> None:
         for invariant in INVARIANTS.values():
             if invariant.on_finish:
+                self._run(invariant, cycle)
+
+    def on_walk_start(self, cycle: int) -> None:
+        """UCP has just started a walk (from a copy of its Alt-BP
+        register)."""
+        for invariant in INVARIANTS.values():
+            if invariant.on_walk_start:
                 self._run(invariant, cycle)
 
     def _run(self, invariant: Invariant, cycle: int) -> None:
@@ -273,6 +292,55 @@ def _ucp_queues(checker: SimChecker, cycle: int) -> None:
         f"{ucp.ucp.alt_decode_entries} entries"
     )
     ucp.alt_ras.check_invariants()
+
+
+@register_invariant("ucp-alt-history", on_walk_start=True)
+def _ucp_alt_history(checker: SimChecker, cycle: int) -> None:
+    """At a walk start, the Alt-BP row cursor has read exactly the rows
+    of the conditionals up to the trigger, and the predicted-path register
+    the walk copied is the numpy-built row state after the trigger's own
+    push (folded lanes, raw bits and path)."""
+    from repro.common.history import history_rows
+    from repro.core.kernel.stream import branch_pushes
+    from repro.isa.instruction import BranchClass
+
+    sim = checker.sim
+    ucp = sim.ucp
+    register = ucp.alt_bp.histories
+    direction = register.direction
+    if checker._alt_states is None:
+        pcs, bits, classes = branch_pushes(sim.trace)
+        lanes, path = history_rows(pcs, bits, direction.geometry, register.path.bits)
+        conds_through = (classes == BranchClass.COND_DIRECT).cumsum()
+        branch_at = sim.trace.branch_classes.nonzero()[0]
+        checker._alt_states = (branch_at, bits, lanes, path, conds_through)
+    branch_at, bits, lanes, path, conds_through = checker._alt_states
+    trigger = ucp.trigger_index
+    ordinal = int(branch_at.searchsorted(trigger))
+    assert branch_at[ordinal] == trigger, f"walk trigger {trigger} is not a branch"
+    rows_read = int(conds_through[-1]) - length_hint(ucp.cond_rows)
+    assert rows_read == conds_through[ordinal], (
+        f"Alt-BP row cursor has read {rows_read} rows, but the walk trigger "
+        f"(trace index {trigger}) is conditional number {conds_through[ordinal]}"
+    )
+    # The state after the trigger's own push.
+    state = ordinal + 1
+    newest = bits[max(0, state - direction.capacity) : state].tolist()
+    expected = (
+        int.from_bytes(lanes[:, state].tobytes(), "little"),
+        int("".join(map(str, newest)) or "0", 2),
+        int(path[state]),
+    )
+    live = (direction.packed, direction.value(direction.capacity), register.path.value)
+    differing = [
+        part
+        for part, ours, theirs in zip(("folded lanes", "raw bits", "path"), live, expected)
+        if ours != theirs
+    ]
+    assert not differing, (
+        f"Alt-BP predicted-path register at the walk start for trace index "
+        f"{trigger} differs from the row state in {', '.join(differing)}"
+    )
 
 
 @register_invariant("final-conservation", on_finish=True)

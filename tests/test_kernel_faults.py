@@ -1,16 +1,23 @@
-"""Mutation-catch tests for the BPU's stream replay.
+"""Mutation-catch tests for the BPU's stream replay and UCP's row cursor.
 
 The three faults that once targeted the replay kernel now patch the one
 BPU (``repro.verify.faults``): the span off-by-one must trip the
 ``bpu-stream`` invariant, and the two timing-only faults — a stale
 branch class and a skipped redirect bubble — must move the pinned result
-digests.
+digests.  A UCP row cursor one ahead of the live Alt-BP register must
+trip ``ucp-alt-history``, which runs at every walk start.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.core.configs import SimConfig, UCPConfig
+from repro.core.pipeline import Simulator
 from repro.frontend.bpu import BPU
 from repro.verify.faults import FAULTS, RESULT_DIGEST, run_fault
+from repro.verify.invariants import INVARIANTS
+from repro.workloads import load_workload
 from tests import digests
 
 BPU_FAULTS = {
@@ -74,3 +81,26 @@ def test_faults_only_patch_the_replay_class():
             changed = {key for key, value in BPU.__dict__.items() if before.get(key) is not value}
         assert len(changed) == 1, (name, changed)
         assert dict(BPU.__dict__) == before
+
+
+def test_ucp_row_cursor_fault_trips_alt_history():
+    outcome = run_fault("ucp-row-cursor-off-by-one")
+    assert outcome.caught, outcome.render()
+    assert outcome.invariant == "ucp-alt-history"
+
+
+@pytest.mark.parametrize("use_indirect", [True, False])
+def test_alt_history_checked_at_every_walk_start(monkeypatch, use_indirect):
+    invariant = INVARIANTS["ucp-alt-history"]
+    calls = []
+
+    def counted(checker, cycle):
+        calls.append(cycle)
+        invariant.check(checker, cycle)
+
+    monkeypatch.setitem(INVARIANTS, invariant.name, replace(invariant, check=counted))
+    config = replace(SimConfig(), ucp=UCPConfig(enabled=True, use_indirect=use_indirect))
+    result = Simulator(load_workload("int_02", 3_000).trace, config, check=True).run()
+    walks = result.to_dict()["totals"]["counters"]["ucp_walks_started"]
+    assert walks > 0
+    assert len(calls) == walks

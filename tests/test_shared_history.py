@@ -1,8 +1,9 @@
-"""One history register per path: lane-wise hashing, sharing and the
-cached push layout."""
+"""One history register per path: lane-wise hashing (live and in rows),
+sharing and the cached push layout."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.branch.confidence import tage_conf_is_h2p, ucp_conf_is_h2p
@@ -92,6 +93,13 @@ class PerTableReference:
         )
 
 
+def register_state(histories):
+    """A live register's lanes and path as one ``history_rows`` column."""
+    direction = histories.direction
+    lanes = [[direction.lane(lane)] for lane in range(len(direction.geometry))]
+    return np.array(lanes, dtype=np.uint16), np.array([histories.path.value], dtype=np.int64)
+
+
 class TestLaneHashing:
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_lanes_equal_per_table_formulas(self, name):
@@ -105,20 +113,19 @@ class TestLaneHashing:
             taken = rng.random() < 0.6
             for key, register in ((None, None), ("alt", alt)):
                 reference = references[key]
-                histories = register or cond.histories
+                lanes, path = register_state(register or cond.histories)
+                pcs = np.array([pc], dtype=np.int64)
                 pred = tage.predict(pc, register)
                 assert (pred.indices, pred.tags) == reference.tage_hashes(pc)
-                tables = range(tage.config.n_tables)
-                assert list(pred.indices) == [tage._index(pc, t, histories) for t in tables]
-                assert list(pred.tags) == [tage._tag(pc, t, histories) for t in tables]
+                assert tuple(tage.hash_rows(pcs, lanes, path)[0]) == pred.indices + pred.tags
                 vote = sc.predict(pc, taken, register and register.direction)
                 assert vote.sc_indices == reference.sc_indices(pc)
-                assert list(vote.sc_indices) == sc._indices(pc, histories.direction)
+                assert tuple(sc.hash_rows(pcs, lanes)[0]) == vote.sc_indices
                 target = indirect.predict(pc, register)
                 assert (target.indices, target.tags) == reference.ittage_hashes(pc)
-                tables = range(indirect.config.n_tables)
-                assert list(target.indices) == [indirect._index(pc, t, histories) for t in tables]
-                assert list(target.tags) == [indirect._tag(pc, t, histories) for t in tables]
+                assert tuple(indirect.hash_rows(pcs, lanes, path)[0]) == (
+                    target.indices + target.tags
+                )
             cond.update(cond.predict(pc), taken)
             references[None].push(pc, taken)
             alt.push(pc, not taken)
