@@ -39,7 +39,7 @@ from repro.isa.trace import Trace
 _TOP_LEVEL: list[tuple[str, str | None, str]] = [
     ("idle_skip", None, "_idle_until"),
     ("backend_commit", "backend", "commit"),
-    ("backend_dispatch", "backend", "dispatch"),
+    ("backend_dispatch", "backend", "dispatch_ready"),
     ("fetch", "fetch", "tick"),
     ("l1i_prefetch", "hierarchy", "tick_prefetch"),
     ("bpu", "bpu", "generate"),

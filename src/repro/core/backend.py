@@ -21,6 +21,7 @@ schedule misprediction redirects.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from repro.common.stats import StatBlock
@@ -30,17 +31,22 @@ from repro.isa.trace import Trace
 
 
 class Backend:
-    """Dispatch → (dependency-limited) execute → in-order commit."""
+    """Dispatch → (dependency-limited) execute → in-order commit.
+
+    µ-ops dispatch and commit in trace order, so the ROB is the window
+    ``[committed, dispatched)`` of trace positions over one completion
+    buffer: there is no per-entry ROB storage.
+    """
 
     def __init__(self, config: BackendConfig, trace: Trace, stats: StatBlock) -> None:
         self.config = config
         self.trace = trace
         self.stats = stats
-        # Hot-path flattening: dispatch() runs once per µ-op, so the
-        # per-instruction latency and dependency distance come from the
-        # trace's precomputed PC-hash columns, and the config scalars are
-        # bound to the instance instead of being chased through two
-        # attribute hops per dispatch.
+        # Hot-path flattening: dispatch_ready() runs every dispatching
+        # cycle, so the per-instruction latency and dependency distance
+        # come from the trace's precomputed PC-hash columns, and the
+        # config scalars are bound to the instance instead of being
+        # chased through two attribute hops per µ-op.
         columns = backend_columns(trace, config)
         self._latency = columns.latency
         self._distance = columns.distance
@@ -48,16 +54,20 @@ class Backend:
         self._branch_latency = config.branch_latency
         self._issue_width = config.issue_width
         self._commit_width = config.commit_width
-        #: Completion cycle by trace index, one pointer per instruction;
-        #: only the first ``_dispatched`` entries are meaningful (µ-ops
-        #: dispatch in trace order).  Kept for the whole run: it doubles as
-        #: the dependency-lookup table, and other components read it
-        #: through :meth:`completion_of`.
-        self._completion: list[int] = [0] * len(trace)
+        self._rob_entries = config.rob_entries
+        #: Completion cycle by trace index, 8 bytes per instruction and no
+        #: int object per µ-op; only the first ``_dispatched`` entries are
+        #: meaningful.  Kept for the whole run: it doubles as the
+        #: dependency-lookup table, and other components read it through
+        #: :meth:`completion_of`.
+        self._completion = array("q", [0]) * len(trace)
+        self._n_instructions = len(trace)
+        #: The ROB is ``[committed, _dispatched)``: trace positions
+        #: dispatched and not yet retired.
         self._dispatched = 0
-        #: ROB: (trace_index, completion_cycle), dispatch order.
-        self._rob: deque[tuple[int, int]] = deque()
         self.committed = 0
+        #: Cycle of the last :meth:`commit` call (sanitizer bookkeeping).
+        self._commit_cycle = -1
         #: Completions booked per cycle (virtual execution ports).  Only
         #: cycles after the current one are ever booked, so a µ-op's slot
         #: is dropped when it retires: the map holds at most one slot per
@@ -65,7 +75,12 @@ class Backend:
         self._exec_busy: dict[int, int] = {}
         #: Optional callback invoked with each retired trace index, in
         #: commit order — the differential harness's commit-stream tap.
+        #: Set it before the run: while it is armed, the trace index the
+        #: frontend delivered into each ROB slot is kept in
+        #: ``_slot_indices`` and reported at retirement, so a µ-op
+        #: delivered twice shows in the retired stream.
         self.commit_hook = None
+        self._slot_indices: deque[int] = deque()
         #: repro.observe event bus; the observer reads ROB state through
         #: the public accessors below and emits rob_full/rob_drain
         #: transition events on the backend timeline lane.
@@ -75,54 +90,67 @@ class Backend:
     # Dispatch
     # ------------------------------------------------------------------
 
-    def rob_has_room(self) -> bool:
-        return len(self._rob) < self.config.rob_entries
-
     @property
     def rob_full(self) -> bool:
         """The frontend-visible backpressure condition (stall taxonomy)."""
-        return len(self._rob) >= self.config.rob_entries
+        return self._dispatched - self.committed >= self._rob_entries
 
-    def dispatch(self, index: int, cycle: int) -> int:
-        """Dispatch one µ-op; returns its completion cycle."""
-        if self._classes[index]:  # any class other than NOT_BRANCH (0)
-            # Branches resolve a fixed depth after dispatch, independent of
-            # the synthetic dependency chain: real OOO cores prioritise
-            # branch resolution (the compare feeding a branch is almost
-            # always ready), so the misprediction penalty must not grow
-            # with the distance to the previous misprediction.
-            # Branches also bypass the issue-width booking: they execute on
-            # a dedicated branch port, so resolution is not queued behind
-            # the ALU backlog.
-            completion = cycle + 1 + self._branch_latency
-            self._completion[index] = completion
-            self._dispatched += 1
-            self._rob.append((index, completion))
-            return completion
-
-        # Latency class and dependency distance come from a PC hash
-        # (repro.core.kernel.columns), precomputed per trace.
-        earliest = cycle + 1
-        producer = index - self._distance[index]
-        if producer >= 0:
-            dep_done = self._completion[producer]
-            if dep_done > earliest:
-                earliest = dep_done
-        completion = self._schedule(earliest + self._latency[index])
-        self._completion[index] = completion
-        self._dispatched += 1
-        self._rob.append((index, completion))
-        return completion
-
-    def _schedule(self, earliest: int) -> int:
-        """Book an execution-completion slot at or after ``earliest``."""
+    def dispatch_ready(self, queue: deque[tuple[int, int]], cycle: int, width: int) -> int:
+        """Dispatch µ-ops from the head of ``queue`` (``(index, ready)``
+        pairs in trace order) while they are ready by ``cycle``, at most
+        ``width`` and while the ROB has room; returns how many."""
+        # Room in the ROB, and never past the trace's last position.
+        room = self._rob_entries - self._dispatched + self.committed
+        if room < width:
+            width = room
+        room = self._n_instructions - self._dispatched
+        if room < width:
+            width = room
+        tap = self._slot_indices.append if self.commit_hook is not None else None
+        completion = self._completion
+        classes = self._classes
+        latency = self._latency
+        distance = self._distance
         busy = self._exec_busy
-        width = self._issue_width
-        cycle = earliest
-        while busy.get(cycle, 0) >= width:
-            cycle += 1
-        busy[cycle] = busy.get(cycle, 0) + 1
-        return cycle
+        booked = busy.get
+        issue_width = self._issue_width
+        # Branches resolve a fixed depth after dispatch, independent of
+        # the synthetic dependency chain: real OOO cores prioritise
+        # branch resolution (the compare feeding a branch is almost
+        # always ready), so the misprediction penalty must not grow with
+        # the distance to the previous misprediction.  They also bypass
+        # the issue-width booking: they execute on a dedicated branch
+        # port, so resolution is not queued behind the ALU backlog.
+        next_cycle = cycle + 1
+        branch_done = next_cycle + self._branch_latency
+        dispatched = 0
+        while dispatched < width and queue and queue[0][1] <= cycle:
+            index = queue.popleft()[0]
+            if tap is not None:
+                tap(index)
+            if classes[index]:  # any class other than NOT_BRANCH (0)
+                completion[index] = branch_done
+            else:
+                # Latency class and dependency distance come from a PC
+                # hash (repro.core.kernel.columns), precomputed per trace.
+                earliest = next_cycle
+                producer = index - distance[index]
+                if producer >= 0:
+                    dep_done = completion[producer]
+                    if dep_done > earliest:
+                        earliest = dep_done
+                # Book an execution-completion slot at or after the
+                # earliest cycle.
+                done = earliest + latency[index]
+                slots = booked(done, 0)
+                while slots >= issue_width:
+                    done += 1
+                    slots = booked(done, 0)
+                busy[done] = slots + 1
+                completion[index] = done
+            dispatched += 1
+        self._dispatched += dispatched
+        return dispatched
 
     # ------------------------------------------------------------------
     # Commit
@@ -130,23 +158,29 @@ class Backend:
 
     def commit(self, cycle: int) -> int:
         """Retire up to ``commit_width`` completed µ-ops in order."""
-        retired = 0
+        self._commit_cycle = cycle
+        start = committed = self.committed
+        end = committed + self._commit_width
+        if end > self._dispatched:
+            end = self._dispatched
+        completion = self._completion
         hook = self.commit_hook
-        rob = self._rob
         release = self._exec_busy.pop
-        while retired < self._commit_width and rob and rob[0][1] <= cycle:
-            entry = rob.popleft()
+        while committed < end:
+            done = completion[committed]
+            if done > cycle:
+                break
             # Its completion cycle is past: no later µ-op can book it.
-            release(entry[1], None)
+            release(done, None)
             if hook is not None:
-                hook(entry[0])
-            retired += 1
-        self.committed += retired
-        return retired
+                hook(self._slot_indices.popleft())
+            committed += 1
+        self.committed = committed
+        return committed - start
 
     @property
     def rob_occupancy(self) -> int:
-        return len(self._rob)
+        return self._dispatched - self.committed
 
     @property
     def dispatched(self) -> int:
@@ -154,31 +188,28 @@ class Backend:
         return self._dispatched
 
     def check_invariants(self) -> None:
-        """Sim-sanitizer hook: ROB bounds and committed-µ-op conservation.
+        """Sim-sanitizer hook: ROB bounds and in-order retirement.
 
         There is no wrong-path execution and the ROB is never flushed, so
-        every dispatched µ-op is eventually committed and the ROB always
-        holds exactly the dispatched-but-uncommitted window, in trace
-        order.  Losing, duplicating or reordering a µ-op anywhere in the
-        dispatch→commit path breaks one of these equalities.
+        the ROB is exactly the window ``[committed, dispatched)``: it
+        holds between 0 and ``rob_entries`` µ-ops, and the µ-op just
+        behind the commit cursor had completed by the cycle of the last
+        commit.  A commit counter that runs ahead of the µ-ops actually
+        retired breaks one of these, even in a cycle that retires fewer
+        than ``commit_width``.
         """
-        rob = self._rob
-        assert len(rob) <= self.config.rob_entries, (
-            f"ROB holds {len(rob)} > {self.config.rob_entries} entries"
+        occupancy = self._dispatched - self.committed
+        assert 0 <= occupancy <= self._rob_entries, (
+            f"ROB window [committed {self.committed}, dispatched "
+            f"{self._dispatched}) holds {occupancy} µ-ops, outside "
+            f"[0, {self._rob_entries}]"
         )
-        dispatched = self._dispatched
-        assert self.committed + len(rob) == dispatched, (
-            f"µ-op conservation broken: committed {self.committed} + "
-            f"ROB {len(rob)} != dispatched {dispatched}"
-        )
-        if rob:
-            assert rob[0][0] == self.committed, (
-                f"ROB head index {rob[0][0]} != commit cursor "
-                f"{self.committed} — commit stream skipped or duplicated"
-            )
-            assert rob[-1][0] - rob[0][0] == len(rob) - 1, (
-                f"ROB index range [{rob[0][0]}, {rob[-1][0]}] does not "
-                f"match its {len(rob)} entries — dispatch out of order"
+        if self.committed:
+            last = self.committed - 1
+            done = self._completion[last]
+            assert done <= self._commit_cycle, (
+                f"µ-op {last} retired at cycle {self._commit_cycle} but "
+                f"completes at {done}"
             )
 
     def completion_of(self, index: int) -> int | None:

@@ -1,26 +1,30 @@
 """Per-trace precomputed backend columns.
 
 The backend's per-dispatch PC hash (execution latency and synthetic
-dependency distance, see :meth:`repro.core.backend.Backend.dispatch`) is
-a pure function of the instruction's PC and the backend config scalars,
-so it is computed for a whole trace in one vectorized numpy pass.
+dependency distance, read by
+:meth:`repro.core.backend.Backend.dispatch_ready`) is a pure function of
+the instruction's PC and the backend config scalars, so it is computed
+for a whole trace in one vectorized numpy pass.
 
-Columns are materialised as plain Python lists (per-element numpy
-indexing is slower than list indexing at simulator scale, see
-``Trace.list_columns``); every value is a small int, so a list costs one
-pointer per instruction.  They are cached per live trace object in a
-weak-key map, so repeated simulations of the same trace — the perf
-harness, the experiment matrix, served jobs — pay the precompute once.
+Columns are materialised as flat buffers (per-element numpy indexing
+is slower than list or buffer indexing at simulator scale, see
+``Trace.list_columns``): :func:`~repro.isa.trace.narrow_column` stores
+each in the narrowest one — latency as ``array('H')`` (a long load takes
+300 cycles), distance as ``bytes`` — 3 bytes per instruction instead of
+two list pointers.  They are cached per live trace object in a weak-key
+map, so repeated simulations of the same trace — the perf harness, the
+experiment matrix, served jobs — pay the precompute once.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.configs import BackendConfig, SimConfig
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, narrow_column
 
 #: Cache key: every config scalar the column formulas consume.
 ColumnsKey = tuple[int, int, int, int, int, int]
@@ -31,7 +35,7 @@ class KernelColumns:
 
     __slots__ = ("latency", "distance")
 
-    def __init__(self, latency: list[int], distance: list[int]) -> None:
+    def __init__(self, latency: Sequence[int], distance: Sequence[int]) -> None:
         #: Execution latency per non-branch instruction (PC-hash formula).
         self.latency = latency
         #: Synthetic dependency distance per non-branch instruction.
@@ -52,20 +56,23 @@ def columns_key(backend: BackendConfig) -> ColumnsKey:
 
 def build_columns(trace: Trace, backend: BackendConfig) -> KernelColumns:
     """One vectorized pass over the trace's PCs (no caching)."""
-    # Backend PC hash, vectorized — must match Backend.dispatch bit for bit.
-    h = trace.pcs >> 2
-    h = h ^ (h >> 7)
-    h = h ^ (h >> 13)
-    h = h & 0xFFFF
-    is_load = (h % backend.load_hash_mod) == 0
-    is_long = ((h >> 8) % backend.long_load_every) == 0
-    latency = np.where(
-        is_load,
-        np.where(is_long, backend.long_load_latency, backend.load_latency),
-        backend.simple_latency,
-    )
-    distance = 1 + ((h >> 4) % backend.dep_window)
-    return KernelColumns(latency.tolist(), distance.tolist())
+    # Backend PC hash, vectorized (Backend.dispatch_ready reads the
+    # result).  In-place steps on a 16-bit hash, one column narrowed at a
+    # time, keep the build's transient near two int64 columns.
+    wide = trace.pcs >> 2
+    wide ^= wide >> 7
+    wide ^= wide >> 13
+    h = (wide & 0xFFFF).astype(np.int32)
+    del wide
+    is_load = h % backend.load_hash_mod == 0
+    latency = np.where(is_load, backend.load_latency, backend.simple_latency)
+    latency[is_load & ((h >> 8) % backend.long_load_every == 0)] = backend.long_load_latency
+    compact_latency = narrow_column(latency)
+    del latency, is_load
+    h >>= 4
+    h %= backend.dep_window
+    h += 1  # the dependency distance
+    return KernelColumns(compact_latency, narrow_column(h))
 
 
 _CACHE: weakref.WeakKeyDictionary[Trace, dict[ColumnsKey, KernelColumns]] = (

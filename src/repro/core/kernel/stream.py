@@ -12,7 +12,7 @@ never *what* the predictors see.
 config) pair and keeps, per branch in trace order,
 
 * the trace index (plus a final ``len(trace)`` sentinel), and
-* a small flag word: for a conditional, the predicted direction and the
+* a flag byte: for a conditional, the predicted direction and the
   TAGE-Conf / UCP-Conf H2P bits; for an indirect or indirect call, the
   mispredict bit.
 
@@ -39,7 +39,7 @@ once and replay many times).
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from struct import Struct
 from typing import Any, TypeVar, cast
 
@@ -52,7 +52,7 @@ from repro.branch.tage_sc_l import TageScL
 from repro.common.history import FoldRows, path_rows
 from repro.core.configs import SimConfig
 from repro.isa.instruction import BranchClass
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, narrow_column
 
 _COND_DIRECT = int(BranchClass.COND_DIRECT)
 _CALL_INDIRECT = int(BranchClass.CALL_INDIRECT)
@@ -75,10 +75,12 @@ class PredictionStream:
 
     __slots__ = ("indices", "flags")
 
-    def __init__(self, indices: list[int], flags: list[int]) -> None:
-        #: Trace index of every branch in trace order, then ``len(trace)``.
+    def __init__(self, indices: Sequence[int], flags: bytes) -> None:
+        #: Trace index of every branch in trace order, then ``len(trace)``
+        #: (the narrowest flat buffer, see
+        #: :func:`~repro.isa.trace.narrow_column`).
         self.indices = indices
-        #: One flag word per branch (the bits above; 0 for branches no
+        #: One flag byte per branch (the bits above; 0 for branches no
         #: predictor consults).
         self.flags = flags
 
@@ -156,9 +158,9 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
     next_indirect = cast(Rows, indirect_rows).cursor().__next__
     pcs, classes, takens, targets, _next_pcs = trace.list_columns()
 
-    indices: list[int] = trace.branch_classes.nonzero()[0].tolist()
-    flags: list[int] = []
-    for i in indices:
+    branch_at = trace.branch_classes.nonzero()[0]
+    flags = bytearray()
+    for i in branch_at.tolist():
         branch_class = classes[i]
         if branch_class == _COND_DIRECT:
             prediction = cond.consult_row(pcs[i], next_cond())
@@ -167,7 +169,7 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
                 | (TAGE_H2P if tage_conf_is_h2p(prediction) else 0)
                 | (UCP_H2P if ucp_conf_is_h2p(prediction) else 0)
             )
-            cond.train(prediction, takens[i])
+            cond.train(prediction, takens[i] != 0)
         elif branch_class == _CALL_INDIRECT or branch_class == _INDIRECT:
             target = targets[i]
             ipred = indirect.consult_row(pcs[i], next_indirect())
@@ -176,8 +178,7 @@ def record_stream(trace: Trace, config: SimConfig) -> PredictionStream:
         else:
             flags.append(0)
 
-    indices.append(len(trace))
-    return PredictionStream(indices, flags)
+    return PredictionStream(narrow_column(np.append(branch_at, len(trace))), bytes(flags))
 
 
 _T = TypeVar("_T")

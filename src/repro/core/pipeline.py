@@ -273,11 +273,12 @@ class Simulator:
         not skipping.
         """
         backend = self.backend
-        rob = backend._rob
+        committed = backend.committed
+        in_flight = backend._dispatched - committed
         wake = NEVER
 
-        if rob:
-            head_ready = rob[0][1]
+        if in_flight:
+            head_ready = backend._completion[committed]
             if head_ready <= cycle:
                 return None  # commit can retire now
             wake = head_ready
@@ -304,7 +305,7 @@ class Simulator:
         # else: trace exhausted or FTQ full — the BPU waits on others.
 
         queue = self.fetch.uop_queue
-        if queue and len(rob) < backend.config.rob_entries:
+        if queue and in_flight < backend._rob_entries:
             ready = queue[0][1]
             if ready <= cycle:
                 return None  # dispatch can move µ-ops now
@@ -342,6 +343,7 @@ class Simulator:
 
         backend = self.backend
         completion_of = backend.completion_of
+        dispatch_ready = backend.dispatch_ready
         fetch = self.fetch
         bpu = self.bpu
         ftq = self.ftq
@@ -396,16 +398,8 @@ class Simulator:
                         observer.on_resolve(stalled)
                     stats_add("resolved_mispredictions")
 
-            dispatched = 0
-            while (
-                dispatched < dispatch_width
-                and queue
-                and queue[0][1] <= cycle
-                and backend.rob_has_room()
-            ):
-                index, _ready = queue.popleft()
-                backend.dispatch(index, cycle)
-                dispatched += 1
+            if queue and queue[0][1] <= cycle:
+                dispatch_ready(queue, cycle, dispatch_width)
 
             fetch.tick(cycle, ftq)
 

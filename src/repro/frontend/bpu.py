@@ -70,7 +70,7 @@ class BranchEvent:
         index: int,
         pc: int,
         flags: int,
-        actual_taken: bool,
+        actual_taken: int,
         taken_target: int | None,
         mispredicted: bool,
     ) -> None:
@@ -81,6 +81,8 @@ class BranchEvent:
         #: H2P under Seznec's TAGE-Conf and under the paper's UCP-Conf.
         self.tage_h2p = flags & TAGE_H2P != 0
         self.ucp_h2p = flags & UCP_H2P != 0
+        #: The resolved direction, 0 or 1 (a byte of the trace's taken
+        #: column).
         self.actual_taken = actual_taken
         #: Taken-direction target if known to the frontend (BTB hit or the
         #: branch is being predicted taken), else None.
@@ -236,7 +238,7 @@ class BPU:
     # ------------------------------------------------------------------
 
     def _handle_conditional(
-        self, index: int, pc: int, taken: bool, target: int, flags: int, cycle: int
+        self, index: int, pc: int, taken: int, target: int, flags: int, cycle: int
     ) -> tuple[bool, bool]:
         """One conditional with its recorded flags; returns (mispredicted,
         ends_block)."""

@@ -10,10 +10,11 @@ readers can still build one from
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal
 
 import numpy as np
 import numpy.typing as npt
@@ -46,6 +47,31 @@ _ENTRY_DTYPE = np.dtype(
     [("pc", np.int64), ("branch_class", np.uint8), ("taken", bool), ("target", np.int64)]
 )
 
+#: :meth:`Trace.list_columns`: (pcs, branch_classes, takens, targets,
+#: next_pcs).
+ListColumns = tuple[list[int], bytes, bytes, list[int], list[int]]
+
+
+def narrow_column(values: npt.NDArray[np.integer[Any]]) -> Sequence[int]:
+    """Non-negative ints in the narrowest flat buffer that holds them.
+
+    ``bytes`` when every value is below 256, else an :class:`array.array`
+    of ``H``, ``I`` or ``q``: 1–8 bytes per value instead of a list's
+    pointer plus an int object for every value above 256.  Indexing
+    either yields a plain int, through CPython's generic subscript (a
+    little slower than a list's; an ``array`` read above 256 makes an
+    int object).
+    """
+    if values.size and int(values.min()) < 0:
+        raise ValueError("narrow_column takes non-negative values")
+    top = int(values.max()) if values.size else 0
+    if top < 1 << 8:
+        return values.astype(np.uint8).tobytes()
+    code: Literal["H", "I", "q"] = "H" if top < 1 << 16 else "I" if top < 1 << 32 else "q"
+    column = array(code, [0]) * len(values)  # sized exactly, unlike frombytes
+    memoryview(column).cast("B")[:] = values.astype(code).tobytes()
+    return column
+
 
 class Trace:
     """An immutable dynamic instruction trace with columnar storage."""
@@ -71,19 +97,17 @@ class Trace:
         self.next_pcs = np.where(
             self.takens, self.targets, self.pcs + INSTRUCTION_SIZE
         ).astype(np.int64)
-        self._list_columns: (
-            tuple[list[int], list[int], list[bool], list[int], list[int]] | None
-        ) = None
+        self._list_columns: ListColumns | None = None
 
-    def list_columns(
-        self,
-    ) -> tuple[list[int], list[int], list[bool], list[int], list[int]]:
-        """Plain-Python list views ``(pcs, branch_classes, takens, targets,
+    def list_columns(self) -> ListColumns:
+        """Plain-Python views ``(pcs, branch_classes, takens, targets,
         next_pcs)`` of the columnar arrays, materialised once per trace.
 
         Per-element numpy indexing returns numpy scalars whose creation and
         ``int()`` conversion dominate the simulator's per-instruction cost;
-        the hot components index these lists instead.
+        the hot components index these views instead.  Branch classes and
+        takens are ``bytes`` (one byte per instruction, indexing yields a
+        cached small int: taken is 0 or 1, not a bool).
 
         The PC-valued columns share one int object per distinct address
         (a trace revisits a few thousand PCs at most), so each column costs
@@ -112,8 +136,8 @@ class Trace:
                     next_pcs[index] = share(successor, successor)
             columns = self._list_columns = (
                 pcs,
-                self.branch_classes.tolist(),
-                self.takens.tolist(),
+                self.branch_classes.tobytes(),
+                self.takens.tobytes(),
                 targets,
                 next_pcs,
             )

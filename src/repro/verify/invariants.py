@@ -228,8 +228,8 @@ def _bpu_stream(checker: SimChecker, cycle: int) -> None:
 
 @register_invariant("commit-conservation")
 def _commit_conservation(checker: SimChecker, cycle: int) -> None:
-    """dispatched == committed + in-flight; ROB is a contiguous,
-    in-order window whose head is the commit cursor."""
+    """The ROB window [committed, dispatched) is within its capacity and
+    nothing behind the commit cursor retired before it completed."""
     checker.sim.backend.check_invariants()
 
 

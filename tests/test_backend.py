@@ -1,5 +1,7 @@
 """Tests for the abstract backend."""
 
+from collections import Counter, deque
+
 from repro.common.stats import StatBlock
 from repro.core.backend import Backend
 from repro.core.configs import BackendConfig
@@ -18,12 +20,19 @@ def make_trace(n=64, branch_every=0):
     return Trace.from_entries("t", entries)
 
 
+def dispatch_all(backend, indices, cycle):
+    """Dispatch ``indices`` (ready at ``cycle``) in one call; returns
+    their completion cycles."""
+    queue = deque((index, cycle) for index in indices)
+    assert backend.dispatch_ready(queue, cycle, len(queue)) == len(indices)
+    return [backend.completion_of(index) for index in indices]
+
+
 class TestDispatchCommit:
     def test_simple_flow(self):
         trace = make_trace(8)
         backend = Backend(BackendConfig(), trace, StatBlock())
-        for i in range(8):
-            completion = backend.dispatch(i, cycle=0)
+        for completion in dispatch_all(backend, range(8), cycle=0):
             assert completion > 0
         # Eventually everything commits.
         cycle = 0
@@ -37,8 +46,7 @@ class TestDispatchCommit:
         trace = make_trace(32)
         config = BackendConfig(commit_width=4)
         backend = Backend(config, trace, StatBlock())
-        for i in range(32):
-            backend.dispatch(i, cycle=0)
+        dispatch_all(backend, range(32), cycle=0)
         retired = backend.commit(cycle=10_000)  # all long complete
         assert retired == 4
 
@@ -46,19 +54,31 @@ class TestDispatchCommit:
         trace = make_trace(64)
         config = BackendConfig(rob_entries=16)
         backend = Backend(config, trace, StatBlock())
-        for i in range(16):
-            assert backend.rob_has_room()
-            backend.dispatch(i, cycle=0)
-        assert not backend.rob_has_room()
+        queue = deque((i, 0) for i in range(64))
+        assert backend.dispatch_ready(queue, 0, 64) == 16
+        assert backend.rob_full and backend.rob_occupancy == 16
+        assert backend.dispatch_ready(queue, 0, 64) == 0
+        assert queue[0] == (16, 0)
         backend.commit(cycle=10_000)
-        assert backend.rob_has_room()
+        assert not backend.rob_full
+        assert backend.dispatch_ready(queue, 10_000, 64) == backend.committed
+
+    def test_dispatch_stops_at_width_and_unready_head(self):
+        trace = make_trace(16)
+        backend = Backend(BackendConfig(), trace, StatBlock())
+        queue = deque([(0, 0), (1, 0), (2, 0), (3, 5), (4, 5)])
+        assert backend.dispatch_ready(queue, 0, 2) == 2
+        assert backend.dispatch_ready(queue, 0, 6) == 1  # (3, 5) not ready
+        assert backend.dispatch_ready(queue, 5, 6) == 2
+        assert not queue and backend.dispatched == 5
 
     def test_completion_of_unknown_index(self):
         trace = make_trace(4)
         backend = Backend(BackendConfig(), trace, StatBlock())
         assert backend.completion_of(0) is None
-        backend.dispatch(0, cycle=5)
-        assert backend.completion_of(0) is not None
+        (completion,) = dispatch_all(backend, [0], cycle=5)
+        assert completion > 5
+        assert backend.completion_of(1) is None
 
 
 class TestBranchResolution:
@@ -66,17 +86,17 @@ class TestBranchResolution:
         trace = make_trace(16, branch_every=4)
         config = BackendConfig(branch_latency=8)
         backend = Backend(config, trace, StatBlock())
-        completion = backend.dispatch(3, cycle=10)  # index 3 is a branch
-        assert completion == 10 + 1 + 8
+        # Index 3 is a branch.
+        completions = dispatch_all(backend, range(4), cycle=10)
+        assert completions[3] == 10 + 1 + 8
 
     def test_branch_ignores_dependency_chain(self):
         trace = make_trace(16, branch_every=4)
         config = BackendConfig(branch_latency=8, long_load_latency=500)
         backend = Backend(config, trace, StatBlock())
         # Dispatch a bunch of slow work first.
-        for i in range(3):
-            backend.dispatch(i, cycle=0)
-        completion = backend.dispatch(3, cycle=0)
+        dispatch_all(backend, range(3), cycle=0)
+        (completion,) = dispatch_all(backend, [3], cycle=0)
         assert completion == 0 + 1 + 8
 
 
@@ -85,9 +105,7 @@ class TestIssueWidth:
         trace = make_trace(64)
         config = BackendConfig(issue_width=2, simple_latency=1, load_hash_mod=10**9, dep_window=1)
         backend = Backend(config, trace, StatBlock())
-        completions = [backend.dispatch(i, cycle=0) for i in range(10)]
+        completions = dispatch_all(backend, range(10), cycle=0)
         # At most 2 completions may land on any single cycle.
-        from collections import Counter
-
         per_cycle = Counter(completions)
         assert max(per_cycle.values()) <= 2

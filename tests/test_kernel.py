@@ -104,7 +104,7 @@ class TestStream:
         stream = record_stream(trace, SimConfig())
         classes = list(trace.branch_classes)
         branches = [i for i, c in enumerate(classes) if c]
-        assert stream.indices == branches + [len(trace)]
+        assert list(stream.indices) == branches + [len(trace)]
         assert len(stream.flags) == len(branches)
         for i, flags in zip(branches, stream.flags):
             if classes[i] == COND:
@@ -169,7 +169,7 @@ class TestOrderingArgument:
             log = self._processed(sim)
             stream = get_stream(trace, config)
             order = [index for index, kind, _ in log if kind != "indirect"]
-            assert order == stream.indices[:-1], f"{name}: not trace order"
+            assert order == list(stream.indices[:-1]), f"{name}: not trace order"
 
             cond = TageScL(config.branch_predictor)
             indirect = ITTAGE(config.indirect_predictor)

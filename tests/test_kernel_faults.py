@@ -5,18 +5,22 @@ BPU (``repro.verify.faults``): the span off-by-one must trip the
 ``bpu-stream`` invariant, and the two timing-only faults — a stale
 branch class and a skipped redirect bubble — must move the pinned result
 digests.  A UCP row cursor one ahead of the live Alt-BP register must
-trip ``ucp-alt-history``, which runs at every walk start.
+trip ``ucp-alt-history``, which runs at every walk start.  A commit
+counter that runs one ahead in a cycle retiring fewer than
+``commit_width`` µ-ops must trip ``commit-conservation``'s ROB-window
+check, since ``commit-monotonic``'s width bound cannot see it.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.core.backend import Backend
 from repro.core.configs import SimConfig, UCPConfig
 from repro.core.pipeline import Simulator
 from repro.frontend.bpu import BPU
 from repro.verify.faults import FAULTS, RESULT_DIGEST, run_fault
-from repro.verify.invariants import INVARIANTS
+from repro.verify.invariants import INVARIANTS, SimCheckError
 from repro.workloads import load_workload
 from tests import digests
 
@@ -104,3 +108,28 @@ def test_alt_history_checked_at_every_walk_start(monkeypatch, use_indirect):
     walks = result.to_dict()["totals"]["counters"]["ucp_walks_started"]
     assert walks > 0
     assert len(calls) == walks
+
+
+def test_partial_cycle_overcount_trips_commit_conservation(monkeypatch):
+    """One extra µ-op counted in a cycle that retired fewer than
+    ``commit_width``: the cycle's count stays within the width bound of
+    ``commit-monotonic``, and the ROB window sees, in that same cycle, a
+    µ-op retired before it completed."""
+    real_commit = Backend.commit
+    counted = []
+
+    def commit(self, cycle):
+        retired = real_commit(self, cycle)
+        if 0 < retired < self.config.commit_width:
+            self.committed += 1
+            counted.append((cycle, retired + 1))
+        return retired
+
+    monkeypatch.setattr(Backend, "commit", commit)
+    sim = Simulator(load_workload("int_02", 2_000).trace, SimConfig(), check=True)
+    with pytest.raises(SimCheckError) as caught:
+        sim.run()
+    assert caught.value.invariant == "commit-conservation"
+    assert "but completes at" in str(caught.value)
+    assert [cycle for cycle, _ in counted] == [caught.value.cycle]
+    assert counted[0][1] <= sim.config.backend.commit_width

@@ -2,20 +2,26 @@
 
 Sizes are counted with :mod:`tracemalloc`, which sees every Python and
 numpy allocation of this process, so the counts do not depend on the
-allocator or on what else the machine runs.
+allocator or on what else the machine runs.  A flat buffer (``bytes``,
+``array``) holds no int objects, so ``sys.getsizeof`` is its whole size.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.configs import SimConfig, UCPConfig
+from repro.core.kernel import build_columns, record_stream
 from repro.core.pipeline import Simulator
 from repro.isa import BranchClass, Trace, TraceEntry
+from repro.isa.trace import narrow_column
 from repro.workloads import load_workload
 
 N_INSTRUCTIONS = 40_000
@@ -23,8 +29,20 @@ N_INSTRUCTIONS = 40_000
 #: instructions: the worst case for the shared PC ints.
 WIDE_TRACE = "srv_05"
 #: Bytes per instruction of all five list columns together: one pointer
-#: per column per instruction (40 B) plus the distinct PC ints.
-COLUMN_BYTES_PER_INSTRUCTION = 60
+#: for each of the three PC-valued columns (24 B), one byte each for the
+#: branch class and taken columns, plus the distinct PC ints (34.1 B
+#: measured on ``srv_05``).
+COLUMN_BYTES_PER_INSTRUCTION = 37
+#: Bytes per instruction of the backend's latency (``array('H')``) and
+#: distance (``bytes``) columns.
+BACKEND_COLUMN_BYTES_PER_INSTRUCTION = 4
+#: Bytes per recorded branch of a prediction stream's kept output: an
+#: ``array('I')`` index at most (narrower below 65,536 instructions) and
+#: one flag byte.
+STREAM_BYTES_PER_BRANCH = 5
+#: Everything one trace keeps for a run: list columns, backend columns
+#: and the recorded stream together.
+TRACE_BYTES_PER_INSTRUCTION = 45
 
 
 def _fresh_copy(trace: Trace) -> Trace:
@@ -48,6 +66,23 @@ def wide_trace() -> Trace:
     return load_workload(WIDE_TRACE, N_INSTRUCTIONS).trace
 
 
+@pytest.fixture(scope="module")
+def ucp_run(wide_trace):
+    """A 40K UCP run: its simulator, result and the most ``_exec_busy``
+    slots seen at any retirement."""
+    sim = Simulator(wide_trace, replace(SimConfig(), ucp=UCPConfig(enabled=True)))
+    busy = sim.backend._exec_busy
+    largest = 0
+
+    def sample(_index):
+        nonlocal largest
+        largest = max(largest, len(busy))
+
+    sim.backend.commit_hook = sample
+    result = sim.run()
+    return sim, result, largest
+
+
 class TestListColumns:
     def test_bytes_per_instruction(self, wide_trace):
         trace = _fresh_copy(wide_trace)
@@ -61,8 +96,9 @@ class TestListColumns:
         trace = _fresh_copy(wide_trace)
         pcs, classes, takens, targets, next_pcs = trace.list_columns()
         assert pcs == trace.pcs.tolist()
-        assert classes == trace.branch_classes.tolist()
-        assert takens == trace.takens.tolist()
+        assert type(classes) is bytes and type(takens) is bytes
+        assert list(classes) == trace.branch_classes.tolist()
+        assert list(takens) == trace.takens.tolist()
         assert targets == trace.targets.tolist()
         assert next_pcs == trace.next_pcs.tolist()
 
@@ -91,6 +127,75 @@ class TestListColumns:
         assert next_pcs == trace.next_pcs.tolist() == [0x1004, 0x2000, 0x3004, 0x3008]
 
 
+class TestNarrowColumn:
+    @pytest.mark.parametrize(
+        "values,kind",
+        [
+            ([], "bytes"),
+            ([0, 7, 255], "bytes"),
+            ([1, 256], "H"),
+            ([65_535], "H"),
+            ([65_536], "I"),
+            ([1 << 32], "q"),
+        ],
+    )
+    def test_narrowest_buffer_holds_the_values(self, values, kind):
+        column = narrow_column(np.array(values, dtype=np.int64))
+        assert list(column) == values
+        assert (column.typecode if isinstance(column, array) else "bytes") == kind
+
+    def test_array_is_sized_exactly(self):
+        column = narrow_column(np.arange(40_000))
+        assert sys.getsizeof(column) - 2 * 40_000 < 128
+
+    def test_negative_values_are_refused(self):
+        with pytest.raises(ValueError):
+            narrow_column(np.array([3, -1]))
+
+
+class TestKernelState:
+    def test_backend_columns_bytes_per_instruction(self, wide_trace):
+        columns, allocated = _traced_bytes(
+            lambda: build_columns(wide_trace, SimConfig().backend)
+        )
+        assert isinstance(columns.latency, array) and columns.latency.typecode == "H"
+        assert type(columns.distance) is bytes
+        per_instruction = allocated / len(wide_trace)
+        assert per_instruction <= BACKEND_COLUMN_BYTES_PER_INSTRUCTION, (
+            f"backend columns take {per_instruction:.1f} B per instruction"
+        )
+
+    def test_stream_bytes_per_branch(self, wide_trace):
+        stream = record_stream(wide_trace, SimConfig())
+        assert type(stream.flags) is bytes
+        assert isinstance(stream.indices, array)
+        branches = len(stream.flags)
+        assert len(stream.indices) == branches + 1
+        # Flat buffers hold no int objects, so their sizes are the output.
+        kept = sys.getsizeof(stream) + sum(map(sys.getsizeof, (stream.indices, stream.flags)))
+        per_branch = kept / branches
+        assert per_branch <= STREAM_BYTES_PER_BRANCH, (
+            f"a recorded stream keeps {per_branch:.1f} B per branch"
+        )
+
+    def test_trace_bytes_per_instruction(self, wide_trace):
+        trace = _fresh_copy(wide_trace)
+        config = SimConfig()
+
+        def build():
+            return (
+                trace.list_columns(),
+                build_columns(trace, config.backend),
+                record_stream(trace, config),
+            )
+
+        _kept, allocated = _traced_bytes(build)
+        per_instruction = allocated / len(trace)
+        assert per_instruction <= TRACE_BYTES_PER_INSTRUCTION, (
+            f"a trace keeps {per_instruction:.1f} B per instruction"
+        )
+
+
 class TestSimulatorState:
     def test_fresh_simulator_allocates_no_l2_llc_or_btb_sets(self, wide_trace):
         sim = Simulator(wide_trace, SimConfig())
@@ -112,18 +217,20 @@ class TestSimulatorState:
         btb = sim.bpu.btb
         assert 0 < len(btb._sets) < btb.config.n_sets
 
-    def test_exec_busy_bounded_by_rob_not_cycles(self, wide_trace):
-        sim = Simulator(wide_trace, replace(SimConfig(), ucp=UCPConfig(enabled=True)))
+    def test_exec_busy_bounded_by_rob_not_cycles(self, ucp_run):
+        sim, result, largest = ucp_run
         backend = sim.backend
-        busy = backend._exec_busy
-        largest = 0
-
-        def sample(_index):
-            nonlocal largest
-            largest = max(largest, len(busy))
-
-        backend.commit_hook = sample
-        result = sim.run()
         assert result.cycles > 10 * backend.config.rob_entries
         assert 0 < largest <= backend.config.rob_entries
-        assert [cycle for cycle in busy if cycle <= result.cycles] == []
+        assert [cycle for cycle in backend._exec_busy if cycle <= result.cycles] == []
+
+    def test_completions_are_one_flat_buffer(self, ucp_run):
+        sim, result, _largest = ucp_run
+        completion = sim.backend._completion
+        n = len(sim.trace)
+        # One 8-byte slot per instruction and no int object per µ-op.
+        assert type(completion) is array and completion.typecode == "q"
+        assert len(completion) == n
+        assert sys.getsizeof(completion) - 8 * n < 128
+        assert sim.backend.completion_of(n - 1) <= result.cycles
+
