@@ -16,22 +16,42 @@ Entry points
 
 See ``examples/`` for walkthroughs, ``repro.experiments`` for the paper's
 tables/figures, and ``python -m repro --help`` for the CLI.
+
+The public names resolve on first access (PEP 562), so importing a
+subpackage — ``repro.cli`` for ``--help``, say — does not import the
+simulator.
 """
 
-from repro.core.configs import SimConfig, UCPConfig
-from repro.core.pipeline import SimResult, Simulator, simulate
-from repro.workloads.suite import SUITE, load_suite, load_workload
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimConfig",
-    "UCPConfig",
-    "SimResult",
-    "Simulator",
-    "simulate",
-    "SUITE",
-    "load_workload",
-    "load_suite",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "SimConfig": "repro.core.configs",
+    "UCPConfig": "repro.core.configs",
+    "SimResult": "repro.core.pipeline",
+    "Simulator": "repro.core.pipeline",
+    "simulate": "repro.core.pipeline",
+    "SUITE": "repro.workloads.suite",
+    "load_workload": "repro.workloads.suite",
+    "load_suite": "repro.workloads.suite",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

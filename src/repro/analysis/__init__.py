@@ -22,50 +22,58 @@
   throughput (instructions and cycles per second).
 * :mod:`repro.analysis.replication` — multi-seed replication with
   Student-t confidence intervals.
+* :mod:`repro.analysis.eviction` / :mod:`repro.analysis.snapshot` — the
+  disk cache's lifecycle: byte/entry-bounded LRU eviction and the
+  warm-start index snapshot.  Nothing here imports :mod:`repro.serve`.
+
+The public names below resolve on first access (PEP 562): importing one
+submodule — ``repro.analysis.runner`` in every worker, say — does not
+import the profiler, the plots, the energy model or replication.
 """
 
-from repro.analysis.energy import EnergyWeights, decode_overhead_pct, frontend_energy
-from repro.analysis.profile import ProfileReport, ProfileRow, profile_run
-from repro.analysis.plot import bar_chart, series_plot, sparkline
-from repro.analysis.replication import ReplicationResult, replicate_speedup
-from repro.analysis.runner import (
-    cache_stats,
-    clear_disk_cache,
-    clear_memory_cache,
-    run_cached,
-    run_suite,
-    verify_disk_cache,
-)
-from repro.analysis.parallel import (
-    EngineStats,
-    ParallelExecutionError,
-    ParallelRunner,
-    SimJob,
-)
-from repro.analysis.tables import format_series, format_table
+from __future__ import annotations
 
-__all__ = [
-    "run_cached",
-    "run_suite",
-    "clear_disk_cache",
-    "clear_memory_cache",
-    "cache_stats",
-    "verify_disk_cache",
-    "ParallelRunner",
-    "ParallelExecutionError",
-    "SimJob",
-    "EngineStats",
-    "format_table",
-    "format_series",
-    "frontend_energy",
-    "decode_overhead_pct",
-    "EnergyWeights",
-    "bar_chart",
-    "sparkline",
-    "series_plot",
-    "replicate_speedup",
-    "ReplicationResult",
-    "profile_run",
-    "ProfileReport",
-    "ProfileRow",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "run_cached": "repro.analysis.runner",
+    "run_suite": "repro.analysis.runner",
+    "clear_disk_cache": "repro.analysis.runner",
+    "clear_memory_cache": "repro.analysis.runner",
+    "cache_stats": "repro.analysis.runner",
+    "verify_disk_cache": "repro.analysis.runner",
+    "ParallelRunner": "repro.analysis.parallel",
+    "ParallelExecutionError": "repro.analysis.parallel",
+    "SimJob": "repro.analysis.scheduler",
+    "EngineStats": "repro.analysis.parallel",
+    "format_table": "repro.analysis.tables",
+    "format_series": "repro.analysis.tables",
+    "frontend_energy": "repro.analysis.energy",
+    "decode_overhead_pct": "repro.analysis.energy",
+    "EnergyWeights": "repro.analysis.energy",
+    "bar_chart": "repro.analysis.plot",
+    "sparkline": "repro.analysis.plot",
+    "series_plot": "repro.analysis.plot",
+    "replicate_speedup": "repro.analysis.replication",
+    "ReplicationResult": "repro.analysis.replication",
+    "profile_run": "repro.analysis.profile",
+    "ProfileReport": "repro.analysis.profile",
+    "ProfileRow": "repro.analysis.profile",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -208,7 +208,7 @@ def _store_disk(key: str, result: SimResult, directory: Path | None = None) -> N
         # Service life: when a cache bound is configured, every write is
         # an eviction opportunity (LRU by mtime; the entry just written
         # and any in-flight keys are protected).  No bound -> no-op.
-        from repro.serve.eviction import maybe_evict
+        from repro.analysis.eviction import maybe_evict
 
         maybe_evict(protect_keys=(key,), directory=directory)
         tel = telemetry.maybe()
@@ -460,7 +460,7 @@ def clear_disk_cache() -> int:
         removed += 1
     for path in directory.glob(".*.tmp"):
         path.unlink(missing_ok=True)
-    # The warm-start index (repro.serve.snapshot) is stale once the
+    # The warm-start index (repro.analysis.snapshot) is stale once the
     # entries are gone; drop it so a restart rescans honestly.
     (directory / "cache-index.json").unlink(missing_ok=True)
     return removed
@@ -470,14 +470,14 @@ def cache_stats() -> dict:
     """Summary of the cache state for ``repro cache stats``.
 
     ``disk_entries`` / ``disk_bytes`` come from the same scan the
-    eviction bounds enforce (:func:`repro.serve.eviction.scan_entries`) —
+    eviction bounds enforce (:func:`repro.analysis.eviction.scan_entries`) —
     race-tolerant where the old ``path.stat()`` sweep could blow up on a
     concurrently evicted entry — and the configured bounds plus the
     warm-start snapshot state ride along so ``repro cache stats`` shows
     exactly what the eviction policy sees.
     """
-    from repro.serve.eviction import resolve_max_bytes, resolve_max_entries, scan_entries
-    from repro.serve.snapshot import read_snapshot
+    from repro.analysis.eviction import resolve_max_bytes, resolve_max_entries, scan_entries
+    from repro.analysis.snapshot import read_snapshot
 
     directory = _cache_dir()
     entries = scan_entries(directory)

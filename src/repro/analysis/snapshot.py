@@ -10,7 +10,7 @@ same temp-file + ``os.replace`` discipline as the entries themselves;
 The snapshot is advisory: it carries the ``CACHE_VERSION`` it was taken
 under and a schema version, and anything stale, unparsable or
 version-mismatched reads as "no snapshot" (callers fall back to
-:func:`repro.serve.eviction.scan_entries`).  Entries that vanish after
+:func:`repro.analysis.eviction.scan_entries`).  Entries that vanish after
 the snapshot was taken are discovered lazily by the envelope check on
 load, exactly as before.
 """
@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import runner as _runner
-from repro.serve.eviction import CacheEntry, scan_entries
+from repro.analysis.eviction import CacheEntry, scan_entries
 
 __all__ = [
     "SNAPSHOT_FILE",

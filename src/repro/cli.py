@@ -86,10 +86,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core import SimConfig
-from repro.core.configs import config_from_spec
-from repro.workloads import SUITE, load_workload
+if TYPE_CHECKING:
+    from repro.core.configs import SimConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -448,6 +448,8 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
     normalizer the experiment server uses — so a CLI invocation and a
     served request spelling the same options share one cache key.
     """
+    from repro.core.configs import config_from_spec
+
     spec: dict[str, object] = {
         "no_uop_cache": bool(args.no_uop_cache),
         "ideal_uop_cache": bool(args.ideal_uop_cache),
@@ -467,6 +469,7 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
 def _simulate(args: argparse.Namespace) -> int:
     from repro.core.pipeline import Simulator
+    from repro.workloads.suite import load_workload
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
@@ -498,6 +501,7 @@ def _trace(args: argparse.Namespace) -> int:
     from repro.common.output import resolve_output_path
     from repro.core.pipeline import Simulator
     from repro.observe import JsonlSink, PerfettoSink
+    from repro.workloads.suite import load_workload
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
@@ -529,6 +533,7 @@ def _metrics(args: argparse.Namespace) -> int:
     from repro.common.output import resolve_output_path
     from repro.core.pipeline import Simulator
     from repro.observe.metrics import DEFAULT_INTERVAL
+    from repro.workloads.suite import load_workload
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
@@ -579,6 +584,7 @@ def _metrics(args: argparse.Namespace) -> int:
 
 def _profile(args: argparse.Namespace) -> int:
     from repro.analysis.profile import profile_run
+    from repro.workloads.suite import load_workload
 
     config = _config_from_args(args)
     trace = load_workload(args.workload, args.instructions).trace
@@ -597,6 +603,7 @@ def _profile(args: argparse.Namespace) -> int:
 
 def _workloads() -> int:
     from repro.analysis.tables import format_table
+    from repro.workloads.suite import SUITE, load_workload
 
     rows = []
     for name in SUITE:
@@ -740,7 +747,7 @@ def _cache(args: argparse.Namespace) -> int:
         # CI gate on "the cache was (found) bad", not "is bad now".
         return 1 if report["corrupt"] else 0
     if args.cache_action == "prune":
-        from repro.serve.eviction import prune, resolve_max_bytes, resolve_max_entries
+        from repro.analysis.eviction import prune, resolve_max_bytes, resolve_max_entries
 
         max_bytes = resolve_max_bytes(args.max_bytes)
         max_entries = resolve_max_entries(args.max_entries)
@@ -755,7 +762,7 @@ def _cache(args: argparse.Namespace) -> int:
         print(report.render())
         return 0
     if args.cache_action == "snapshot":
-        from repro.serve.snapshot import read_snapshot, write_snapshot
+        from repro.analysis.snapshot import read_snapshot, write_snapshot
 
         path = write_snapshot()
         index = read_snapshot() or {}
@@ -808,6 +815,7 @@ def _top(args: argparse.Namespace) -> int:
 def _export(args: argparse.Namespace) -> int:
     from repro.isa.ingest import detect_format
     from repro.isa.errors import TraceFormatError
+    from repro.workloads.suite import load_workload
 
     trace = load_workload(args.workload, args.instructions).trace
     try:

@@ -9,42 +9,42 @@ and holds one worker pool for all of the driver's batches.
 
 from __future__ import annotations
 
-from repro.experiments import (
-    fig02_uop_impact,
-    fig03_hitrate_switches,
-    fig04_size_sweep,
-    fig05_prefetchers,
-    fig06_conf_missrate,
-    fig07_contributions,
-    fig09_h2p,
-    fig10_ucp_vs_base,
-    fig11_speedup_mpki,
-    fig12_variants,
-    fig13_ucp_hitrate,
-    fig14_prefetch_accuracy,
-    fig15_threshold,
-    fig16_pareto,
-    taba_variants,
-)
+import importlib
+from collections import UserDict
+from typing import Any
+
+
+class _Drivers(UserDict):
+    """Driver modules by experiment id; each is imported on first lookup,
+    so running one figure imports one driver."""
+
+    def __getitem__(self, name: str) -> Any:
+        driver = self.data[name]
+        if isinstance(driver, str):
+            driver = self.data[name] = importlib.import_module(
+                f"repro.experiments.{driver}"
+            )
+        return driver
+
 
 #: Every paper table/figure driver, keyed by the id used in DESIGN.md.
-EXPERIMENTS = {
-    "fig02": fig02_uop_impact,
-    "fig03": fig03_hitrate_switches,
-    "fig04": fig04_size_sweep,
-    "fig05": fig05_prefetchers,
-    "fig06": fig06_conf_missrate,
-    "fig07": fig07_contributions,
-    "fig09": fig09_h2p,
-    "fig10": fig10_ucp_vs_base,
-    "fig11": fig11_speedup_mpki,
-    "fig12": fig12_variants,
-    "fig13": fig13_ucp_hitrate,
-    "fig14": fig14_prefetch_accuracy,
-    "fig15": fig15_threshold,
-    "fig16": fig16_pareto,
-    "taba": taba_variants,
-}
+EXPERIMENTS = _Drivers(
+    fig02="fig02_uop_impact",
+    fig03="fig03_hitrate_switches",
+    fig04="fig04_size_sweep",
+    fig05="fig05_prefetchers",
+    fig06="fig06_conf_missrate",
+    fig07="fig07_contributions",
+    fig09="fig09_h2p",
+    fig10="fig10_ucp_vs_base",
+    fig11="fig11_speedup_mpki",
+    fig12="fig12_variants",
+    fig13="fig13_ucp_hitrate",
+    fig14="fig14_prefetch_accuracy",
+    fig15="fig15_threshold",
+    fig16="fig16_pareto",
+    taba="taba_variants",
+)
 
 
 def run_experiment(name: str, scale=None, *, jobs: int | None = None):

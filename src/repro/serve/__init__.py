@@ -13,9 +13,11 @@
   Scheduler` — worker slots fed by one priority queue, cross-client
   single-flight, cancellation, per-job timeouts, crash retry and
   quarantine — the same one CLI batches use;
-* :mod:`repro.serve.eviction` / :mod:`repro.serve.snapshot` — cache
-  lifecycle for service life: byte/entry-bounded LRU eviction and the
-  warm-start index snapshot.
+* the cache lifecycle for service life — byte/entry-bounded LRU
+  eviction and the warm-start index snapshot — lives beside the cache
+  tiers in :mod:`repro.analysis.eviction` and
+  :mod:`repro.analysis.snapshot`, so the engine imports nothing from
+  this package.
 
 See ``docs/SERVICE.md`` for the protocol and failure semantics.
 """

@@ -22,12 +22,13 @@ import asyncio
 from collections.abc import Callable
 from typing import Any
 
+from repro.analysis import eviction
 from repro.analysis import runner as _runner
 from repro.analysis.scheduler import Flight, Scheduler, SimJob
+from repro.analysis.snapshot import load_index
 from repro.observe import stream as _stream
 from repro.observe import telemetry
 from repro.observe.telemetry.httpd import MetricsEndpoint
-from repro.serve import eviction
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -38,7 +39,6 @@ from repro.serve.protocol import (
     parse_run_request,
     result_summary,
 )
-from repro.serve.snapshot import load_index
 
 __all__ = ["ExperimentServer"]
 

@@ -1,7 +1,7 @@
 """Property and round-trip tests for cache eviction + warm-start snapshot.
 
-The eviction policy (:mod:`repro.serve.eviction`) and the index snapshot
-(:mod:`repro.serve.snapshot`) operate on synthetic cache directories here
+The eviction policy (:mod:`repro.analysis.eviction`) and the index snapshot
+(:mod:`repro.analysis.snapshot`) operate on synthetic cache directories here
 — real payloads are irrelevant to the policy; what matters is which files
 survive a prune and that the snapshot index is a faithful, versioned view
 of the directory.
@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.runner as runner
+from repro.analysis import eviction, snapshot
 from repro.cli import main
-from repro.serve import eviction, snapshot
 
 # ----------------------------------------------------------------------
 # Synthetic cache directories

@@ -677,7 +677,7 @@ class TestSelfCheck:
         # Every suppression is a SIM002 wall-clock read: run telemetry in
         # parallel.py (2), queue timing in scheduler.py (2), the job body's
         # timing in analysis/runner.py (2), the eviction grace-window clock
-        # in serve/eviction.py (1), and the span/flight-recorder timestamps
+        # in analysis/eviction.py (1), and the span/flight-recorder timestamps
         # in observe/telemetry (4).
         assert report.suppressed == 11
         # No suppression comment outlives its rule (the linter's own
