@@ -281,13 +281,19 @@ def _new_executor(mode: str) -> Executor:
 
 
 def _worker_init(parent_pid: int) -> None:
-    """Worker-process initializer: exit if the parent dies.
+    """Worker-process initializer: run below the parent's CPU priority,
+    and exit if the parent dies.
 
-    A SIGKILLed parent cannot shut the pool down, and every worker holds
-    the call-queue pipe open, so idle workers would otherwise block on it
-    forever.  A watchdog thread notices the re-parenting and exits; the
-    atomic cache writes make dying mid-job harmless.
+    The default slot count equals the CPU count, so busy workers would
+    otherwise take CPU time from the parent's event loop, which answers
+    cache hits and dispatches jobs.  A SIGKILLed parent cannot shut the
+    pool down, and every worker holds the call-queue pipe open, so idle
+    workers would otherwise block on it forever.  A watchdog thread
+    notices the re-parenting and exits; the atomic cache writes make
+    dying mid-job harmless.
     """
+    if hasattr(os, "nice"):
+        os.nice(10)
 
     def watch() -> None:
         while os.getppid() == parent_pid:

@@ -188,15 +188,22 @@ CONFIG_SPEC_KEYS = frozenset(
 )
 
 
+#: Configs built by :func:`config_from_spec`, keyed by the spec's typed
+#: items (``True`` and ``1`` must not share an entry).  Only successes are
+#: stored; the table is cleared when it fills.
+_spec_configs: dict[frozenset[tuple[object, type, object]], SimConfig] = {}
+_SPEC_CONFIGS_MAX = 256
+
+
 def config_from_spec(spec: Mapping[str, object] | None = None) -> SimConfig:
     """Build a :class:`SimConfig` from a flat JSON-friendly option mapping.
 
     This is the one normalizer behind both the CLI flags and the
-    experiment-server protocol: the same spec always produces the same
-    (frozen, hashable-repr) config, and therefore the same result-cache
-    key.  Unknown keys and out-of-range values raise :class:`ValueError`
-    rather than being silently dropped — a typo must not fork the cache
-    keyspace.
+    experiment-server protocol: the same spec always returns the same
+    (frozen) config object, and therefore the same result-cache key,
+    whose config repr the runner then computes once.  Unknown keys and
+    out-of-range values raise :class:`ValueError` rather than being
+    silently dropped — a typo must not fork the cache keyspace.
 
     Recognised keys (all optional): ``no_uop_cache``, ``ideal_uop_cache``
     (booleans, mutually exclusive), ``uop_kops`` (4/8/16/32/64),
@@ -205,6 +212,20 @@ def config_from_spec(spec: Mapping[str, object] | None = None) -> SimConfig:
     UCP), ``stop_threshold`` (UCP stop counter, default 500).
     """
     spec = dict(spec or {})
+    try:
+        key = frozenset((name, type(value), value) for name, value in spec.items())
+    except TypeError:  # an unhashable value: the builder rejects it
+        return _build_config(spec)
+    config = _spec_configs.get(key)
+    if config is None:
+        config = _build_config(spec)
+        if len(_spec_configs) >= _SPEC_CONFIGS_MAX:
+            _spec_configs.clear()
+        _spec_configs[key] = config
+    return config
+
+
+def _build_config(spec: dict[str, object]) -> SimConfig:
     unknown = set(spec) - CONFIG_SPEC_KEYS
     if unknown:
         raise ValueError(

@@ -68,9 +68,12 @@ MAX_LINE_BYTES = 1 << 20
 ServeError = JobError
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps builds one per call
+
+
 def encode_message(message: dict[str, Any]) -> bytes:
     """One protocol message as an NDJSON line (compact separators)."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(message) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> dict[str, Any]:

@@ -47,12 +47,14 @@ DEFAULT_MAX_PENDING = 1024
 
 
 class _Connection:
-    """Per-connection state: serialized writes + active request tasks."""
+    """Per-connection state: serialized writes, active request tasks and
+    pending event sends."""
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.lock = asyncio.Lock()
         self.requests: dict[str, asyncio.Task[None]] = {}
+        self.sends: set[asyncio.Task[None]] = set()
 
 
 class ExperimentServer:
@@ -303,38 +305,38 @@ class ExperimentServer:
                 )
                 flights.append((job, flight))
                 eviction.protect(flight.key)
-            await self._send(
-                conn,
-                {
-                    "type": "accepted",
-                    "id": request.id,
-                    "protocol": PROTOCOL_VERSION,
-                    "jobs": len(flights),
-                },
-            )
             if request.stream:
                 for _job, flight in flights:
                     callback = self._subscribe(conn, request.id, flight)
                     subscriptions.append((flight, callback))
-            watchers = [
-                asyncio.create_task(
-                    self._watch_job(conn, request, job, flight),
-                    name=f"watch-{request.id}-{job.workload}",
+            accepted = {"type": "accepted", "id": request.id, "protocol": PROTOCOL_VERSION}
+            lines: list[dict[str, Any]] = [accepted | {"jobs": len(flights)}]
+            statuses: list[str] = []
+            waiting = flights
+            while True:
+                # One pass: every line ready goes out in one write, then
+                # wait for the next flight (asyncio.wait cancels none).
+                pending = waiting
+                waiting = []
+                for job, flight in pending:
+                    if flight.future.done():
+                        statuses.append(self._job_lines(lines, request, job, flight))
+                    else:
+                        waiting.append((job, flight))
+                if not waiting:
+                    counts = ("cached", "simulated", "failed")
+                    lines.append(
+                        {"type": "done", "id": request.id, "jobs": len(statuses)}
+                        | {status: statuses.count(status) for status in counts}
+                    )
+                await self._send(conn, *lines)
+                if not waiting:
+                    break
+                lines = []
+                await asyncio.wait(
+                    [flight.future for _job, flight in waiting],
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
-                for job, flight in flights
-            ]
-            statuses = await asyncio.gather(*watchers)
-            await self._send(
-                conn,
-                {
-                    "type": "done",
-                    "id": request.id,
-                    "jobs": len(statuses),
-                    "cached": statuses.count("cached"),
-                    "simulated": statuses.count("simulated"),
-                    "failed": statuses.count("failed"),
-                },
-            )
         except asyncio.CancelledError:
             await self._send(
                 conn,
@@ -350,10 +352,8 @@ class ExperimentServer:
             if request_span is not None and sink is not None:
                 sink.finish(request_span)
             for flight, callback in subscriptions:
-                try:
+                if callback in flight.subscribers:
                     flight.subscribers.remove(callback)
-                except ValueError:
-                    pass
             for _job, flight in flights:
                 self.scheduler.release(flight)
                 eviction.unprotect(flight.key)
@@ -365,54 +365,50 @@ class ExperimentServer:
 
         def callback(event: dict[str, Any]) -> None:
             message = {"type": "event", "id": request_id, **event}
-            asyncio.get_running_loop().create_task(self._send(conn, message))
+            # The loop holds tasks only weakly: keep each send alive.
+            task = asyncio.get_running_loop().create_task(self._send(conn, message))
+            conn.sends.add(task)
+            task.add_done_callback(conn.sends.discard)
 
         flight.subscribers.append(callback)
         return callback
 
-    async def _watch_job(
-        self,
-        conn: _Connection,
-        request: RunRequest,
-        job: SimJob,
-        flight: Flight,
+    @staticmethod
+    def _job_lines(
+        lines: list[dict[str, Any]], request: RunRequest, job: SimJob, flight: Flight
     ) -> str:
-        """Await one flight, streaming its telemetry and final line."""
+        """Append one resolved flight's lines; return its ``done`` status."""
         try:
-            outcome = await flight.wait()
+            outcome = flight.future.result()
         except ServeError as error:
             message = error.as_message(request.id)
             message["key"] = job.key
             message["workload"] = job.workload
-            await self._send(conn, message)
+            lines.append(message)
             return "failed"
         if request.stream:
+            name = job.workload
             events = [
-                _stream.job_finished_event(
-                    job.key, job.workload, outcome.cached, outcome.seconds
-                )
+                _stream.job_finished_event(job.key, name, outcome.cached, outcome.seconds),
+                *_stream.interval_events(job.key, name, outcome.result.intervals),
             ]
-            events.extend(
-                _stream.interval_events(job.key, job.workload, outcome.result.intervals)
-            )
             if outcome.taxonomy is not None:
-                events.append(
-                    _stream.taxonomy_event(job.key, job.workload, outcome.taxonomy)
-                )
-            for event in events:
-                await self._send(conn, {"type": "event", "id": request.id, **event})
+                events.append(_stream.taxonomy_event(job.key, name, outcome.taxonomy))
+            lines.extend({"type": "event", "id": request.id, **event} for event in events)
         summary = result_summary(job, outcome.result, outcome.cached)
         summary["source"] = outcome.source
         summary["seconds"] = round(outcome.seconds, 4)
-        await self._send(conn, {"type": "result", "id": request.id, **summary})
+        lines.append({"type": "result", "id": request.id, **summary})
         return "cached" if outcome.cached else "simulated"
 
     # -- plumbing -----------------------------------------------------------
 
-    async def _send(self, conn: _Connection, message: dict[str, Any]) -> None:
+    async def _send(self, conn: _Connection, *messages: dict[str, Any]) -> None:
+        """Write ``messages`` to the connection in one write and one drain."""
+        data = b"".join(map(encode_message, messages))
         try:
             async with conn.lock:
-                conn.writer.write(encode_message(message))
+                conn.writer.write(data)
                 await conn.writer.drain()
         except (ConnectionError, OSError):
             pass  # client gone; request teardown happens in _handle_client

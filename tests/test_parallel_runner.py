@@ -681,3 +681,30 @@ class TestDispatcherSurvives:
                 await scheduler.close()
 
         assert asyncio.run(scenario()).source == "simulated"
+
+
+def _niceness_entry(*args):
+    """Module-level stand-in for ``runner.job_entry`` reporting the CPU
+    niceness its worker runs at."""
+    return os.nice(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "nice"), reason="no os.nice on this platform")
+class TestWorkerPriority:
+    """Busy slot workers run below the CPU priority of the process that
+    owns them, so its event loop answers cache hits promptly."""
+
+    @pytest.mark.parametrize("mode", ["process", "thread"])
+    def test_slot_niceness(self, fresh_cache, monkeypatch, mode):
+        from repro.analysis.scheduler import WorkerSlot
+
+        monkeypatch.setattr(runner, "job_entry", _niceness_entry)
+        server = os.nice(0)
+        slot = WorkerSlot(0, mode)
+        try:
+            reported = slot.submit(SimJob("fp_01", SimConfig(), N_INSTRUCTIONS), False, None)
+            niceness = reported.result(timeout=60.0)
+        finally:
+            slot.close(kill=True)
+        assert niceness == (min(server + 10, 19) if mode == "process" else server)
+        assert os.nice(0) == server

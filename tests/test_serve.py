@@ -23,6 +23,7 @@ from collections import Counter
 import pytest
 
 import repro.analysis.runner as runner
+import repro.serve.server as server_module
 from repro.core import SimConfig
 from repro.serve.client import RunReply, ServeClient, ServeRequestError
 from repro.serve.protocol import (
@@ -159,6 +160,23 @@ class TestProtocol:
 
         config = config_from_spec({"ucp": True, "stop_threshold": 300})
         assert jobs[0].key == runner.cache_key("fp_01", 5_000, config)
+
+    def test_same_spec_resolves_to_one_config(self):
+        """A spec resolves to one shared config object, so re-asks key
+        from the runner's config-repr table; a bad spec is never stored."""
+        from repro.core.configs import config_from_spec
+
+        spec = {"ucp": True, "uop_kops": 16}
+        first, second = config_from_spec(spec), config_from_spec(dict(spec))
+        assert first is second
+        assert runner.cache_key("fp_01", 1_000, first) == runner.cache_key(
+            "fp_01", 1_000, second
+        )
+        config_from_spec({"mrc": 1})  # an int spec must not answer for a bool
+        for bad in ({"mrc": True}, {"ucp": 1}, {"uop_kops": 16.0}, {"ucp": [True]}):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    config_from_spec(bad)
 
     def test_matrix_is_cross_product_with_dedup(self):
         jobs = expand_matrix(
@@ -496,6 +514,134 @@ class TestStreaming:
 
         reply = run_async(_with_server(body))
         assert reply.events == []
+
+
+def _record_writes(monkeypatch) -> list[bytes]:
+    """Log every ``write`` the server makes on a client connection."""
+    writes: list[bytes] = []
+
+    class Recording(server_module._Connection):
+        def __init__(self, writer):
+            super().__init__(writer)
+            real = writer.write
+
+            def write(data):
+                writes.append(bytes(data))
+                real(data)
+
+            writer.write = write
+
+    monkeypatch.setattr(server_module, "_Connection", Recording)
+    return writes
+
+
+async def _read_until_done(reader) -> list[dict]:
+    lines = []
+    while not lines or lines[-1]["type"] != "done":
+        lines.append(decode_line((await reader.readline()).strip()))
+    return lines
+
+
+class TestReplyLoop:
+    """A request's lines go out one write per pass of its reply loop:
+    ``accepted`` first, then every line ready, ``done`` last."""
+
+    def test_all_hit_request_is_one_write(self, fresh_cache, monkeypatch):
+        writes = _record_writes(monkeypatch)
+        names = [*WORKLOADS, "crypto_01"]
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                warm = await client.run(names, n_instructions=N_INSTRUCTIONS)
+                writes.clear()
+                await client.run(names, n_instructions=N_INSTRUCTIONS, request_id="hit")
+            return warm
+
+        warm = run_async(_with_server(body))
+        assert len(writes) == 1
+        lines = [decode_line(line) for line in writes[0].splitlines()]
+        by_workload = {record["workload"]: record for record in warm.results}
+        expected_results = [
+            {**by_workload[name], "id": "hit", "cached": True, "source": "memory", "seconds": 0.0}
+            for name in names
+        ]
+        assert lines == [
+            {"type": "accepted", "id": "hit", "protocol": 2, "jobs": 4},
+            *expected_results,
+            {"type": "done", "id": "hit", "jobs": 4, "cached": 4, "simulated": 0, "failed": 0},
+        ]
+
+    def test_hit_result_precedes_an_open_miss(self, fresh_cache, monkeypatch):
+        release = threading.Event()
+
+        def blocking(workload, config, n_instructions, *args):
+            if workload == "srv_02":
+                release.wait(30.0)
+            return runner.run_job(workload, config, n_instructions, *args)
+
+        monkeypatch.setattr(runner, "job_entry", blocking)
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                await client.run(["fp_01"], n_instructions=N_INSTRUCTIONS)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            request = {
+                "type": "run",
+                "id": "mixed",
+                "matrix": {"workloads": ["fp_01", "srv_02"], "n_instructions": N_INSTRUCTIONS},
+            }
+            writer.write(encode_message(request))
+            await writer.drain()
+            early = [decode_line((await reader.readline()).strip()) for _ in range(2)]
+            miss_open = not release.is_set()
+            release.set()
+            rest = await _read_until_done(reader)
+            writer.close()
+            await writer.wait_closed()
+            return early, miss_open, rest
+
+        try:
+            early, miss_open, rest = run_async(_with_server(body, shards=1))
+        finally:
+            release.set()
+        assert miss_open
+        assert [line["type"] for line in early] == ["accepted", "result"]
+        assert early[1]["workload"] == "fp_01" and early[1]["source"] == "memory"
+        assert [(line["type"], line.get("workload")) for line in rest] == [
+            ("result", "srv_02"),
+            ("done", None),
+        ]
+        assert rest[-1]["cached"] == 1 and rest[-1]["simulated"] == 1
+
+    def test_stream_events_precede_their_result(self, fresh_cache):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            request = {
+                "type": "run",
+                "id": "streamed",
+                "stream": True,
+                "matrix": {"workloads": ["fp_01", "int_01"], "n_instructions": N_INSTRUCTIONS},
+            }
+            writer.write(encode_message(request))
+            await writer.drain()
+            lines = await _read_until_done(reader)
+            writer.close()
+            await writer.wait_closed()
+            return lines
+
+        lines = run_async(_with_server(body))
+        assert lines[0]["type"] == "accepted" and lines[-1]["type"] == "done"
+        results = {line["key"]: i for i, line in enumerate(lines) if line["type"] == "result"}
+        assert len(results) == 2
+        for key, result_at in results.items():
+            events = [
+                (i, line["event"])
+                for i, line in enumerate(lines)
+                if line["type"] == "event" and line["key"] == key
+            ]
+            kinds = {kind for _i, kind in events}
+            assert {"job-started", "job-finished", "interval", "taxonomy"} <= kinds
+            assert all(i < result_at for i, _kind in events)
 
 
 class TestTypedErrors:
