@@ -303,7 +303,7 @@ class ParallelRunner:
         scope = _scope.get()
         scheduler = None if scope is None else scope.scheduler
         if scheduler is None:
-            scheduler = Scheduler(self.jobs, observe=False)
+            scheduler = Scheduler(self.jobs)
             if scope is not None:
                 scope.scheduler = scheduler
         try:

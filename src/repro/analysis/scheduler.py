@@ -375,11 +375,16 @@ class Flight:
     """One in-progress (or resolved) simulation, shared by every request
     that asked for its key while it was alive."""
 
-    def __init__(self, job: SimJob, priority: int, timeout: float | None) -> None:
+    def __init__(
+        self, job: SimJob, priority: int, timeout: float | None, observe: bool = False
+    ) -> None:
         self.job = job
         self.key = job.key
         self.priority = priority
         self.timeout = timeout
+        #: Run with the observer armed, so the result carries the stall
+        #: taxonomy: set by a streaming request before dispatch.
+        self.observe = observe
         self.state = _QUEUED
         self.refs = 1
         self.future: asyncio.Future[FlightResult] = (
@@ -422,10 +427,6 @@ class Scheduler:
         ``"process"`` (isolated workers, restartable on crash/timeout) or
         ``"thread"`` (in-process, for tests — crashes cannot be contained
         but everything is observable and fast).
-    observe:
-        Run jobs with the observer armed, so results carry the stall
-        taxonomy a served stream reports (the server's choice; CLI batches
-        do not need it).
     job_timeout:
         Per-job budget in seconds (default ``REPRO_SIM_JOB_TIMEOUT``).
     retries:
@@ -444,7 +445,6 @@ class Scheduler:
         slots: int | None = None,
         *,
         mode: str = "process",
-        observe: bool = True,
         job_timeout: float | None = None,
         retries: int = 1,
         backoff: float = 0.05,
@@ -452,7 +452,6 @@ class Scheduler:
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown slot mode {mode!r}")
         self.mode = mode
-        self.observe = observe
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.retries = max(0, retries)
         self.backoff = backoff
@@ -529,12 +528,18 @@ class Scheduler:
         self,
         job: SimJob,
         *,
+        observe: bool = False,
         priority: int = 0,
         timeout: float | None = None,
         trace: SpanContext | None = None,
         probed: bool = False,
     ) -> Flight:
         """Resolve-or-enqueue one job; returns its (possibly shared) flight.
+
+        ``observe`` asks for the stall taxonomy (a streaming request): a
+        new flight runs with the observer armed, and joining a flight
+        still queued arms it.  A flight already running stays as it is,
+        and a cache hit carries no taxonomy.
 
         ``trace`` is the requesting span's context (from the protocol's
         ``trace`` field); a new flight opens a child ``sched.job`` span
@@ -553,6 +558,8 @@ class Scheduler:
         flight = self._flights.get(job.key)
         if flight is not None and not flight.done:
             flight.refs += 1
+            if observe and flight.state == _QUEUED:
+                flight.observe = True
             if priority > flight.priority:
                 # Escalate: requeue under the higher priority (the heap
                 # entry for the old priority is lazily skipped).
@@ -583,7 +590,10 @@ class Scheduler:
                 return flight
 
         flight = Flight(
-            job, priority, timeout if timeout is not None else self.job_timeout
+            job,
+            priority,
+            timeout if timeout is not None else self.job_timeout,
+            observe,
         )
         flight.trace = trace
         sink = telemetry.maybe_spans()
@@ -796,7 +806,7 @@ class Scheduler:
             try:
                 # Inside the try: a worker that died since the slot's last
                 # job can break the executor before any wait starts.
-                pending = slot.submit(job, self.observe, trace_wire)
+                pending = slot.submit(job, flight.observe, trace_wire)
                 self.counters.add("pool_dispatches")
                 output = await asyncio.wait_for(asyncio.wrap_future(pending), timeout)
             except asyncio.TimeoutError:

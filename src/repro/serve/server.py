@@ -299,6 +299,7 @@ class ExperimentServer:
                 # already runs in the worker pool.
                 flight = self.scheduler.submit(
                     job,
+                    observe=request.stream,
                     priority=request.priority,
                     timeout=request.timeout,
                     trace=None if request_span is None else request_span.context,

@@ -17,25 +17,47 @@ safe (the "sim sanitizer" of the validation plan in ``docs/VALIDATION.md``):
   invariant or an oracle (``repro verify --inject``).
 
 The public surface below is what the CLI, the tests and future perf PRs
-use; everything else is implementation detail.
+use; everything else is implementation detail.  The re-exported names
+resolve on first access (PEP 562), so a plain simulation, which only
+asks :func:`make_checker` whether checking is on, loads neither the
+invariants nor the oracles.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+from typing import TYPE_CHECKING, Any
 
-from repro.verify.invariants import (  # noqa: F401  (re-exports)
-    INVARIANTS,
-    SimChecker,
-    SimCheckError,
-    register_invariant,
-)
-from repro.verify.oracles import (  # noqa: F401
-    RefLRU,
-    RefRAS,
-    RefSetAssocCache,
-    reference_commit_stream,
-)
+if TYPE_CHECKING:
+    from repro.verify.invariants import SimChecker
+
+#: Re-exported name -> the module that defines it.
+_EXPORTS = {
+    "INVARIANTS": "repro.verify.invariants",
+    "SimChecker": "repro.verify.invariants",
+    "SimCheckError": "repro.verify.invariants",
+    "register_invariant": "repro.verify.invariants",
+    "RefLRU": "repro.verify.oracles",
+    "RefRAS": "repro.verify.oracles",
+    "RefSetAssocCache": "repro.verify.oracles",
+    "reference_commit_stream": "repro.verify.oracles",
+}
+
+__all__ = [*_EXPORTS, "check_level", "checks_enabled", "make_checker"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def check_level() -> int:
@@ -74,4 +96,6 @@ def make_checker(sim, enabled: bool | None = None) -> SimChecker | None:
         if not enabled:
             return None
         stride = 1
+    from repro.verify.invariants import SimChecker
+
     return SimChecker(sim, stride=stride)

@@ -144,6 +144,39 @@ class TestEngineImportSet:
         assert "repro.core.pipeline" in modules
 
 
+#: The sanitizer's checks and oracles: loaded only when checking is armed.
+SANITIZER = ("repro.verify.invariants", "repro.verify.oracles")
+
+
+class TestSanitizerImportSet:
+    SIMULATE = (
+        "from repro.core.configs import SimConfig\n"
+        "from repro.core.pipeline import Simulator\n"
+        "from repro.workloads.suite import load_workload\n"
+        "Simulator(load_workload('fp_01', 500).trace, SimConfig(), check={check}).run()\n"
+    )
+
+    def test_plain_simulate_leaves_the_sanitizer_out(self):
+        code, modules = _imported(self.SIMULATE.format(check=False))
+        assert code == 0
+        assert "repro.verify" in modules
+        assert _loaded(modules, SANITIZER) == []
+
+    def test_checked_simulate_loads_the_sanitizer(self):
+        code, modules = _imported(self.SIMULATE.format(check=True))
+        assert code == 0
+        assert _loaded(modules, SANITIZER) == list(SANITIZER)
+
+    def test_reexports_resolve_to_the_defining_object(self):
+        import repro.verify as verify
+
+        for name, module in verify._EXPORTS.items():
+            assert getattr(verify, name) is getattr(importlib.import_module(module), name)
+        assert set(verify._EXPORTS) <= set(verify.__all__) <= set(dir(verify))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            verify.no_such_name  # noqa: B018
+
+
 @pytest.mark.parametrize("package", [repro, repro.analysis], ids=lambda p: p.__name__)
 class TestLazyRoot:
     def test_all_resolves_to_the_defining_object(self, package):

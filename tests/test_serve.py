@@ -516,6 +516,148 @@ class TestStreaming:
         assert reply.events == []
 
 
+def _record_entries(monkeypatch, blocked: str | None = None):
+    """Record each job body's ``(workload, observe)`` and hold jobs of
+    ``blocked`` until the returned event is set."""
+    calls: list[tuple[str, bool]] = []
+    release = threading.Event()
+
+    def recording(workload, config, n_instructions, observe=False, *args):
+        calls.append((workload, observe))
+        if workload == blocked:
+            release.wait(30.0)
+        return runner.run_job(workload, config, n_instructions, observe, *args)
+
+    monkeypatch.setattr(runner, "job_entry", recording)
+    return calls, release
+
+
+async def _until_scheduler(client: ServeClient, ready, what: str) -> None:
+    """Poll ``status`` until ``ready`` holds for its scheduler stats."""
+    for _ in range(200):
+        if ready((await client.status())["scheduler"]):
+            return
+        await asyncio.sleep(0.02)
+    pytest.fail(f"the scheduler never had {what}")
+
+
+def _coalesced(stats) -> bool:
+    return stats["counters"].get("jobs_coalesced", 0) >= 1
+
+
+def _kinds(reply: RunReply) -> list[str]:
+    return [event["event"] for event in reply.events]
+
+
+class TestObserveOnDemand:
+    """Only a streaming request arms the observer, and only for a flight
+    it can still change: the stall taxonomy is simulated for the clients
+    that read it."""
+
+    def test_unstreamed_miss_runs_plain(self, fresh_cache, monkeypatch):
+        calls, _release = _record_entries(monkeypatch)
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                return await client.run(["fp_01"], n_instructions=N_INSTRUCTIONS)
+
+        reply = run_async(_with_server(body))
+        assert reply.ok and reply.results[0]["source"] == "simulated"
+        assert calls == [("fp_01", False)]
+        assert reply.events == []
+
+    def test_stream_joining_a_queued_flight_gets_the_taxonomy(
+        self, fresh_cache, monkeypatch
+    ):
+        calls, release = _record_entries(monkeypatch, blocked="srv_02")
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client, ServeClient(
+                port=server.port
+            ) as other:
+                blocker = asyncio.create_task(
+                    client.run(["srv_02"], n_instructions=N_INSTRUCTIONS)
+                )
+                await _until_running(client)
+                plain = asyncio.create_task(
+                    client.run(["fp_01"], n_instructions=N_INSTRUCTIONS)
+                )
+                await _until_scheduler(
+                    client, lambda stats: stats["queued"] >= 1, "a queued flight"
+                )
+                streamed = asyncio.create_task(
+                    other.run(["fp_01"], n_instructions=N_INSTRUCTIONS, stream=True)
+                )
+                await _until_scheduler(other, _coalesced, "a coalesced job")
+                release.set()
+                return await asyncio.gather(blocker, plain, streamed)
+
+        try:
+            _blocker, plain, streamed = run_async(_with_server(body, shards=1))
+        finally:
+            release.set()
+        assert calls == [("srv_02", False), ("fp_01", True)]
+        assert plain.ok and plain.events == []
+        assert streamed.ok and streamed.results[0]["source"] == "simulated"
+        assert "taxonomy" in _kinds(streamed)
+        taxonomy = next(e for e in streamed.events if e["event"] == "taxonomy")
+        assert sum(taxonomy["cycles"].values()) == streamed.results[0]["cycles"]
+
+    def test_stream_joining_a_running_flight_gets_no_taxonomy(
+        self, fresh_cache, monkeypatch
+    ):
+        calls, release = _record_entries(monkeypatch, blocked="srv_02")
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client, ServeClient(
+                port=server.port
+            ) as other:
+                plain = asyncio.create_task(
+                    client.run(["srv_02"], n_instructions=N_INSTRUCTIONS)
+                )
+                await _until_running(client)
+                streamed = asyncio.create_task(
+                    other.run(["srv_02"], n_instructions=N_INSTRUCTIONS, stream=True)
+                )
+                await _until_scheduler(other, _coalesced, "a coalesced job")
+                release.set()
+                return await asyncio.gather(plain, streamed)
+
+        try:
+            plain, streamed = run_async(_with_server(body, shards=1))
+        finally:
+            release.set()
+        assert calls == [("srv_02", False)]
+        assert plain.ok and streamed.ok
+        assert streamed.errors == [] and len(streamed.results) == 1
+        assert streamed.done["simulated"] == 1 and streamed.done["failed"] == 0
+        kinds = _kinds(streamed)
+        assert "job-finished" in kinds and "taxonomy" not in kinds
+
+    def test_streamed_and_unstreamed_runs_agree(self, fresh_cache, monkeypatch):
+        calls, _release = _record_entries(monkeypatch)
+
+        async def body(server):
+            async with ServeClient(port=server.port) as client:
+                plain = await client.run(["int_01"], n_instructions=N_INSTRUCTIONS)
+                runner.clear_memory_cache()
+                runner.clear_disk_cache()
+                streamed = await client.run(
+                    ["int_01"], n_instructions=N_INSTRUCTIONS, stream=True
+                )
+            return plain, streamed
+
+        plain, streamed = run_async(_with_server(body))
+        assert calls == [("int_01", False), ("int_01", True)]
+        assert "taxonomy" in _kinds(streamed)
+        ours, theirs = (
+            {k: v for k, v in reply.results[0].items() if k not in ("id", "seconds")}
+            for reply in (plain, streamed)
+        )
+        assert ours["source"] == "simulated"
+        assert ours == theirs
+
+
 def _record_writes(monkeypatch) -> list[bytes]:
     """Log every ``write`` the server makes on a client connection."""
     writes: list[bytes] = []
@@ -856,7 +998,7 @@ class TestOneJobBody:
             scheduler = Scheduler(1, mode="process")
             await scheduler.start()
             try:
-                return await scheduler.submit(job).wait()
+                return await scheduler.submit(job, observe=True).wait()
             finally:
                 await scheduler.close()
 
