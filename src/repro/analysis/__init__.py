@@ -1,9 +1,12 @@
 """Analysis utilities: cached simulation running and table rendering.
 
-* :mod:`repro.analysis.runner` — memoised (in-process + on-disk) execution
-  of (workload, config) simulation pairs, so experiments and benchmarks
-  sharing baselines never re-simulate them.  Disk entries are checksummed
-  and written atomically.
+* :mod:`repro.analysis.result_cache` — the result cache: keys,
+  checksummed atomically written entries, the memory and disk tiers,
+  byte/entry-bounded LRU eviction and the cache counters, so experiments
+  and benchmarks sharing baselines never re-simulate them.  It imports
+  neither the simulator nor :mod:`repro.serve`.
+* :mod:`repro.analysis.runner` — the job body that simulates a cache
+  miss and stores it (``run_cached``, ``run_suite``).
 * :mod:`repro.analysis.scheduler` — the experiment engine's core: worker
   slots fed by one priority queue, with single-flight, cancellation and
   one failure policy, shared by CLI batches and the experiment server.
@@ -22,9 +25,6 @@
   throughput (instructions and cycles per second).
 * :mod:`repro.analysis.replication` — multi-seed replication with
   Student-t confidence intervals.
-* :mod:`repro.analysis.eviction` / :mod:`repro.analysis.snapshot` — the
-  disk cache's lifecycle: byte/entry-bounded LRU eviction and the
-  warm-start index snapshot.  Nothing here imports :mod:`repro.serve`.
 
 The public names below resolve on first access (PEP 562): importing one
 submodule — ``repro.analysis.runner`` in every worker, say — does not
@@ -40,10 +40,10 @@ from typing import Any
 _EXPORTS = {
     "run_cached": "repro.analysis.runner",
     "run_suite": "repro.analysis.runner",
-    "clear_disk_cache": "repro.analysis.runner",
-    "clear_memory_cache": "repro.analysis.runner",
-    "cache_stats": "repro.analysis.runner",
-    "verify_disk_cache": "repro.analysis.runner",
+    "clear_disk_cache": "repro.analysis.result_cache",
+    "clear_memory_cache": "repro.analysis.result_cache",
+    "cache_stats": "repro.analysis.result_cache",
+    "verify_disk_cache": "repro.analysis.result_cache",
     "ParallelRunner": "repro.analysis.parallel",
     "ParallelExecutionError": "repro.analysis.parallel",
     "SimJob": "repro.analysis.scheduler",

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from repro.analysis import runner as _runner
+from repro.analysis import result_cache
 from repro.analysis.scheduler import (
     ERROR_CODES,
     Flight,
@@ -267,7 +267,7 @@ class ParallelRunner:
                 _count_job("coalesced", len(jobs) - len(unique))
             pending: list[SimJob] = []
             for key, job in unique.items():
-                cached, tier = _runner.probe(key)
+                cached, tier = result_cache.probe(key)
                 if cached is None:
                     pending.append(job)
                 else:

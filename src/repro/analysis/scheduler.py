@@ -11,7 +11,7 @@ same jobs for its clients.  Both run them through one :class:`Scheduler`:
 * **Single-flight.**  :meth:`Scheduler.submit` coalesces by cache key:
   while a flight for a key is queued or running, later submits join it
   (refcounted).  Cache hits resolve in ``submit`` through
-  :func:`repro.analysis.runner.probe` and never touch a slot.
+  :func:`repro.analysis.result_cache.probe` and never touch a slot.
 * **Failure policy.**  Every failure is a typed :class:`JobError` scoped
   to its own flight.  A worker that dies mid-job (or while idle) gets its
   slot restarted and the job retried with exponential backoff; when
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from multiprocessing.context import BaseContext
 from typing import Any
 
+from repro.analysis import result_cache
 from repro.analysis import runner as _runner
 from repro.common.stats import StatBlock
 from repro.core.configs import SimConfig
@@ -138,7 +139,7 @@ class SimJob:
 
     @functools.cached_property
     def key(self) -> str:
-        return _runner.cache_key(
+        return result_cache.cache_key(
             self.workload, self.n_instructions, self.config, self.token
         )
 
@@ -224,7 +225,7 @@ def _merge(job: SimJob, output: _runner.JobOutput) -> FlightResult:
     """Publish one finished job body's output in this process: keep one
     result object per key, re-record the job's spans, count it."""
     result, seconds, taxonomy, spans = output
-    result = _runner._memory_cache.setdefault(job.key, result)
+    result = result_cache._memory_cache.setdefault(job.key, result)
     _runner.record_spans(spans)
     _count_job("simulated")
     tel = telemetry.maybe()
@@ -333,7 +334,7 @@ class WorkerSlot:
             observe,
             trace_wire,
             job.key,
-            _runner._cache_dir(),
+            result_cache._cache_dir(),
         )
 
     def restart(self) -> None:
@@ -656,7 +657,7 @@ class Scheduler:
 
     def _probe_cache(self, job: SimJob) -> tuple[SimResult | None, str]:
         try:
-            return _runner.probe(job.key)
+            return result_cache.probe(job.key)
         except Exception as error:
             self.counters.add("cache_errors")
             raise JobError(

@@ -35,9 +35,9 @@ Commands
     (:mod:`repro.verify`): clean-model sweep against the commit-stream
     oracle, or ``--inject FAULT`` to prove a deliberate bug is caught
     (``--inject all`` for the whole registry, ``--list-faults`` to see it).
-``cache stats|clear|verify|prune|snapshot``
-    Inspect, wipe, integrity-check, LRU-evict, or snapshot-index the
-    simulation result cache (``.simcache/`` or ``REPRO_SIM_CACHE_DIR``).
+``cache stats|clear|verify|prune``
+    Inspect, wipe, integrity-check or LRU-evict the simulation result
+    cache (``.simcache/`` or ``REPRO_SIM_CACHE_DIR``).
     ``stats`` also reports process-lifetime hit/miss/eviction rates when
     ``REPRO_SIM_TELEMETRY`` is on, and takes ``--json``; ``verify``
     exits non-zero whenever corrupt entries are found; ``prune``
@@ -248,9 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dry-run",
         action="store_true",
         help="report what would be evicted without deleting anything",
-    )
-    cache_actions.add_parser(
-        "snapshot", help="write the warm-start index snapshot"
     )
 
     serve = commands.add_parser(
@@ -698,7 +695,14 @@ def _verify(args: argparse.Namespace) -> int:
 
 
 def _cache(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import cache_stats, clear_disk_cache, verify_disk_cache
+    from repro.analysis.result_cache import (
+        cache_stats,
+        clear_disk_cache,
+        prune,
+        resolve_max_bytes,
+        resolve_max_entries,
+        verify_disk_cache,
+    )
 
     if args.cache_action == "stats":
         stats = cache_stats()
@@ -715,11 +719,6 @@ def _cache(args: argparse.Namespace) -> int:
         print(f"disk bytes     {stats['disk_bytes']} (max {bound(stats['max_bytes'])})")
         print(f"temp files     {stats['temp_files']}")
         print(f"memory entries {stats['memory_entries']}")
-        snapshot = stats["snapshot_entries"]
-        print(
-            "snapshot       "
-            + ("none" if snapshot is None else f"{snapshot} entries indexed")
-        )
         lifetime = stats.get("telemetry")
         if lifetime is None:
             print("lifetime       (off — set REPRO_SIM_TELEMETRY=1 to track rates)")
@@ -747,8 +746,6 @@ def _cache(args: argparse.Namespace) -> int:
         # CI gate on "the cache was (found) bad", not "is bad now".
         return 1 if report["corrupt"] else 0
     if args.cache_action == "prune":
-        from repro.analysis.eviction import prune, resolve_max_bytes, resolve_max_entries
-
         max_bytes = resolve_max_bytes(args.max_bytes)
         max_entries = resolve_max_entries(args.max_entries)
         if max_bytes is None and max_entries is None:
@@ -760,13 +757,6 @@ def _cache(args: argparse.Namespace) -> int:
             return 2
         report = prune(max_bytes, max_entries, dry_run=args.dry_run)
         print(report.render())
-        return 0
-    if args.cache_action == "snapshot":
-        from repro.analysis.snapshot import read_snapshot, write_snapshot
-
-        path = write_snapshot()
-        index = read_snapshot() or {}
-        print(f"wrote {path} ({len(index)} entries indexed)")
         return 0
     raise AssertionError(f"unhandled cache action {args.cache_action}")
 

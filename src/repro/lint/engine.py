@@ -121,8 +121,8 @@ class LintEngine:
     def write_schema_snapshot(self, paths: list[Path]) -> dict[str, object]:
         """Regenerate the cache-schema snapshot from the current sources."""
         from repro.lint.rules_schema import (
+            CACHE_MODULE,
             RESULT_MODULE,
-            RUNNER_MODULE,
             STATS_MODULE,
             extract_schema,
         )
@@ -136,7 +136,7 @@ class LintEngine:
             modules[module.module] = module
         missing = [
             name
-            for name in (RUNNER_MODULE, RESULT_MODULE, STATS_MODULE)
+            for name in (CACHE_MODULE, RESULT_MODULE, STATS_MODULE)
             if name not in modules
         ]
         if missing:

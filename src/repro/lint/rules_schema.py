@@ -32,7 +32,7 @@ SNAPSHOT_SCHEMA = 1
 
 #: Modules the shape is extracted from (all three must be in the run set
 #: for the rule to apply).
-RUNNER_MODULE = "repro.analysis.runner"
+CACHE_MODULE = "repro.analysis.result_cache"
 RESULT_MODULE = "repro.core.pipeline"
 STATS_MODULE = "repro.common.stats"
 
@@ -67,8 +67,8 @@ def _int_literal(body: list[ast.stmt], name: str, owner: str) -> tuple[int, ast.
     raise SchemaExtractionError(f"{owner}.{name} int literal not found")
 
 
-def _cache_version(runner: SourceModule) -> tuple[int, ast.AST]:
-    return _int_literal(runner.tree.body, "CACHE_VERSION", runner.module)
+def _cache_version(cache: SourceModule) -> tuple[int, ast.AST]:
+    return _int_literal(cache.tree.body, "CACHE_VERSION", cache.module)
 
 
 def _to_dict_keys(method: ast.FunctionDef) -> list[str]:
@@ -89,10 +89,10 @@ def _to_dict_keys(method: ast.FunctionDef) -> list[str]:
 
 def extract_schema(modules: dict[str, SourceModule]) -> dict[str, object]:
     """Build the current shape description from the parsed run set."""
-    runner = modules[RUNNER_MODULE]
+    cache = modules[CACHE_MODULE]
     pipeline = modules[RESULT_MODULE]
     stats = modules[STATS_MODULE]
-    cache_version, _node = _cache_version(runner)
+    cache_version, _node = _cache_version(cache)
     sim_result = _class_def(pipeline, "SimResult")
     stat_block = _class_def(stats, "StatBlock")
     return {
@@ -114,7 +114,7 @@ class CacheSchemaRule(ProjectRule):
     code = "SIM007"
     title = "cache payload shape changes require a CACHE_VERSION bump"
     # The examples above are illustrative fragments, not a self-contained
-    # module: the rule compares runner/result/stats modules against the
+    # module: the rule compares cache/result/stats modules against the
     # cache_schema.json snapshot, which no single scratch file can set up.
     selfchecked = False
     rationale = """\
@@ -125,16 +125,16 @@ bumping the version makes byte-valid but semantically stale entries
 deserialize into new code — silent wrong results, the worst failure mode
 a reproduction can have.  The shipped shape is snapshotted in
 `src/repro/lint/cache_schema.json`; on any drift, bump `CACHE_VERSION`
-in `repro.analysis.runner` and refresh the snapshot with
+in `repro.analysis.result_cache` and refresh the snapshot with
 `repro lint --write-schema` (the snapshot diff then shows reviewers the
 shape change and the bump side by side)."""
     bad_example = """\
 # SimResult.to_dict grows a key...
 return {"schema": self.SCHEMA, "name": self.name, "power_w": self.power_w}
-# ...while repro/analysis/runner.py still says CACHE_VERSION = 7
+# ...while repro/analysis/result_cache.py still says CACHE_VERSION = 7
 """
     good_example = """\
-# repro/analysis/runner.py
+# repro/analysis/result_cache.py
 CACHE_VERSION = 8  # payload gained power_w
 # and `repro lint --write-schema` refreshed cache_schema.json
 """
@@ -142,18 +142,18 @@ CACHE_VERSION = 8  # payload gained power_w
     def check_project(
         self, modules: dict[str, SourceModule], engine: "LintEngine"
     ) -> list[Finding]:
-        required = (RUNNER_MODULE, RESULT_MODULE, STATS_MODULE)
+        required = (CACHE_MODULE, RESULT_MODULE, STATS_MODULE)
         if not all(name in modules for name in required):
             # Partial run (e.g. linting one file): contract not checkable.
             return []
         current = extract_schema(modules)
         snapshot_path = engine.schema_path
         if not snapshot_path.exists():
-            runner = modules[RUNNER_MODULE]
-            _version, node = _cache_version(runner)
+            cache = modules[CACHE_MODULE]
+            _version, node = _cache_version(cache)
             return [
                 self.finding(
-                    runner,
+                    cache,
                     node,
                     f"no cache-schema snapshot at {snapshot_path}; create it "
                     "with `repro lint --write-schema`",
@@ -175,8 +175,8 @@ CACHE_VERSION = 8  # payload gained power_w
             snapshot.get(part) != current.get(part) for part in ("simresult", "statblock")
         )
         version_moved = snapshot.get("cache_version") != current.get("cache_version")
-        runner = modules[RUNNER_MODULE]
-        _version, version_node = _cache_version(runner)
+        cache = modules[CACHE_MODULE]
+        _version, version_node = _cache_version(cache)
         if shape_moved and not version_moved:
             for part, module_name, cls, method in (
                 ("simresult", RESULT_MODULE, "SimResult", "to_dict"),
@@ -192,7 +192,7 @@ CACHE_VERSION = 8  # payload gained power_w
                         node,
                         f"{cls}.{method} payload shape changed but CACHE_VERSION "
                         f"is still {current.get('cache_version')} — bump it in "
-                        f"{RUNNER_MODULE} and run `repro lint --write-schema`",
+                        f"{CACHE_MODULE} and run `repro lint --write-schema`",
                     )
                 )
         else:
@@ -200,7 +200,7 @@ CACHE_VERSION = 8  # payload gained power_w
             # version-only edit: the committed snapshot is stale either way.
             findings.append(
                 self.finding(
-                    runner,
+                    cache,
                     version_node,
                     "cache schema snapshot is stale "
                     f"(snapshot v{snapshot.get('cache_version')} vs source "

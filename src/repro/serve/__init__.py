@@ -13,10 +13,9 @@
   Scheduler` — worker slots fed by one priority queue, cross-client
   single-flight, cancellation, per-job timeouts, crash retry and
   quarantine — the same one CLI batches use;
-* the cache lifecycle for service life — byte/entry-bounded LRU
-  eviction and the warm-start index snapshot — lives beside the cache
-  tiers in :mod:`repro.analysis.eviction` and
-  :mod:`repro.analysis.snapshot`, so the engine imports nothing from
+* the cache's bounds for service life — byte/entry-bounded LRU
+  eviction — live with the cache tiers in
+  :mod:`repro.analysis.result_cache`, so the engine imports nothing from
   this package.
 
 See ``docs/SERVICE.md`` for the protocol and failure semantics.

@@ -22,10 +22,8 @@ import asyncio
 from collections.abc import Callable
 from typing import Any
 
-from repro.analysis import eviction
-from repro.analysis import runner as _runner
+from repro.analysis import result_cache
 from repro.analysis.scheduler import Flight, Scheduler, SimJob
-from repro.analysis.snapshot import load_index
 from repro.observe import stream as _stream
 from repro.observe import telemetry
 from repro.observe.telemetry.httpd import MetricsEndpoint
@@ -112,9 +110,7 @@ class ExperimentServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Warm-start the cache index, start the scheduler, bind."""
-        index, source = await asyncio.to_thread(load_index)
-        self.log(f"cache index: {len(index)} entries ({source})")
+        """Start the scheduler and bind."""
         await self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
@@ -215,7 +211,7 @@ class ExperimentServer:
             # The cache summary scans the cache directory on disk; hop it
             # to a worker thread so a cold or large cache cannot stall
             # every other connection.
-            cache = await asyncio.to_thread(_runner.cache_stats)
+            cache = await asyncio.to_thread(result_cache.cache_stats)
             await self._send(conn, self._status_message(cache))
         elif kind == "cancel":
             task = conn.requests.get(rid) if rid is not None else None
@@ -305,7 +301,6 @@ class ExperimentServer:
                     trace=None if request_span is None else request_span.context,
                 )
                 flights.append((job, flight))
-                eviction.protect(flight.key)
             if request.stream:
                 for _job, flight in flights:
                     callback = self._subscribe(conn, request.id, flight)
@@ -357,7 +352,6 @@ class ExperimentServer:
                     flight.subscribers.remove(callback)
             for _job, flight in flights:
                 self.scheduler.release(flight)
-                eviction.unprotect(flight.key)
 
     def _subscribe(
         self, conn: _Connection, request_id: str, flight: Flight

@@ -32,6 +32,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from repro.analysis import result_cache
 from repro.analysis import runner as _runner
 from repro.core.configs import SimConfig
 
@@ -52,7 +53,7 @@ N_INSTRUCTIONS = 2_000
 
 
 def _victim_key() -> str:
-    return _runner.cache_key(VICTIM_WORKLOAD, N_INSTRUCTIONS, SimConfig())
+    return result_cache.cache_key(VICTIM_WORKLOAD, N_INSTRUCTIONS, SimConfig())
 
 
 @contextmanager
@@ -129,7 +130,7 @@ _register(
 def _inject_cache_corrupt_read():
     """The cache tier itself fails (I/O error, not a bad entry) on the
     victim key while other keys keep reading fine."""
-    real_load = _runner._load_disk
+    real_load = result_cache._load_disk
     victim = _victim_key()
 
     def load(key: str, directory=None):
@@ -137,7 +138,7 @@ def _inject_cache_corrupt_read():
             raise OSError("injected cache-tier read failure")
         return real_load(key, directory)
 
-    return _patched_attr(_runner, "_load_disk", load)
+    return _patched_attr(result_cache, "_load_disk", load)
 
 
 _register(
@@ -203,8 +204,8 @@ class ServiceFaultResult:
 @contextmanager
 def _isolated_cache() -> Iterator[None]:
     """Run against a private, empty cache; restore everything after."""
-    saved_memory = dict(_runner._memory_cache)
-    _runner._memory_cache.clear()
+    saved_memory = dict(result_cache._memory_cache)
+    result_cache._memory_cache.clear()
     original = os.environ.get("REPRO_SIM_CACHE_DIR")
     with tempfile.TemporaryDirectory(prefix="repro-servefault-") as tmp:
         os.environ["REPRO_SIM_CACHE_DIR"] = tmp
@@ -215,8 +216,8 @@ def _isolated_cache() -> Iterator[None]:
                 os.environ.pop("REPRO_SIM_CACHE_DIR", None)
             else:
                 os.environ["REPRO_SIM_CACHE_DIR"] = original
-            _runner._memory_cache.clear()
-            _runner._memory_cache.update(saved_memory)
+            result_cache._memory_cache.clear()
+            result_cache._memory_cache.update(saved_memory)
 
 
 async def _drive_fault(fault: ServiceFault) -> ServiceFaultResult:

@@ -64,13 +64,13 @@ def branchy_trace() -> Trace:
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
     """Redirect the result disk cache to a fresh directory, clear memory."""
-    import repro.analysis.runner as runner
+    import repro.analysis.result_cache as result_cache
 
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
     yield tmp_path
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
 
 
 @pytest.fixture()

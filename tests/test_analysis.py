@@ -1,6 +1,7 @@
 """Tests for the cached runner and table rendering."""
 
-from repro.analysis.runner import clear_disk_cache, run_cached
+from repro.analysis.result_cache import clear_disk_cache
+from repro.analysis.runner import run_cached
 from repro.analysis.tables import format_series, format_table
 from repro.core import SimConfig
 
@@ -34,24 +35,26 @@ class TestRunner:
             )
 
     def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
+        import repro.analysis.result_cache as result_cache
         import repro.analysis.runner as runner
 
         monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         first = runner.run_cached("fp_01", SimConfig(), 2_000)
         assert list(tmp_path.glob("*.pkl"))
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         second = runner.run_cached("fp_01", SimConfig(), 2_000)
         assert second.ipc == first.ipc
-        assert runner.clear_disk_cache() >= 1
+        assert result_cache.clear_disk_cache() >= 1
 
     def test_disk_cache_disable(self, tmp_path, monkeypatch):
+        import repro.analysis.result_cache as result_cache
         import repro.analysis.runner as runner
 
         monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         runner.run_cached("fp_01", SimConfig(), 2_000)
         assert not list(tmp_path.glob("*.pkl"))
 

@@ -1,15 +1,12 @@
-"""Property and round-trip tests for cache eviction + warm-start snapshot.
+"""Property and CLI tests for the result cache's LRU eviction bounds.
 
-The eviction policy (:mod:`repro.analysis.eviction`) and the index snapshot
-(:mod:`repro.analysis.snapshot`) operate on synthetic cache directories here
-— real payloads are irrelevant to the policy; what matters is which files
-survive a prune and that the snapshot index is a faithful, versioned view
-of the directory.
+The eviction policy (:mod:`repro.analysis.result_cache`) operates on
+synthetic cache directories here — real payloads are irrelevant to the
+policy; what matters is which files survive a prune.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -17,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.analysis.runner as runner
-from repro.analysis import eviction, snapshot
+import repro.analysis.result_cache as result_cache
 from repro.cli import main
 
 # ----------------------------------------------------------------------
@@ -67,10 +63,10 @@ class TestPruneProperties:
     def test_prune_meets_entry_bound(self, tmp_path_factory, specs, max_entries):
         directory = tmp_path_factory.mktemp("prune")
         _populate(directory, specs)
-        report = eviction.prune(
+        report = result_cache.prune(
             max_entries=max_entries or None, directory=directory
         )
-        survivors = eviction.scan_entries(directory)
+        survivors = result_cache.scan_entries(directory)
         if max_entries:
             assert len(survivors) <= max_entries
         assert report.kept_entries == len(survivors)
@@ -90,8 +86,8 @@ class TestPruneProperties:
     def test_prune_meets_byte_bound(self, tmp_path_factory, specs, max_bytes):
         directory = tmp_path_factory.mktemp("prune")
         _populate(directory, specs)
-        report = eviction.prune(max_bytes=max_bytes, directory=directory)
-        survivors = eviction.scan_entries(directory)
+        report = result_cache.prune(max_bytes=max_bytes, directory=directory)
+        survivors = result_cache.scan_entries(directory)
         assert sum(e.size for e in survivors) <= max_bytes or not report.removed
         assert report.freed_bytes == sum(specs[key][0] for key in report.removed)
 
@@ -101,13 +97,13 @@ class TestPruneProperties:
         directory = tmp_path_factory.mktemp("prune")
         _populate(directory, specs)
         shielded = set(list(specs)[: len(specs) // 2])
-        eviction.prune(
+        result_cache.prune(
             max_entries=0 or None,
             max_bytes=1,  # evict as much as allowed
             protect_keys=shielded,
             directory=directory,
         )
-        survivors = {e.key for e in eviction.scan_entries(directory)}
+        survivors = {e.key for e in result_cache.scan_entries(directory)}
         assert shielded <= survivors
 
     @settings(max_examples=20, deadline=None)
@@ -115,36 +111,17 @@ class TestPruneProperties:
     def test_dry_run_deletes_nothing(self, tmp_path_factory, specs):
         directory = tmp_path_factory.mktemp("prune")
         _populate(directory, specs)
-        report = eviction.prune(max_bytes=1, directory=directory, dry_run=True)
+        report = result_cache.prune(max_bytes=1, directory=directory, dry_run=True)
         assert report.dry_run
-        assert {e.key for e in eviction.scan_entries(directory)} == set(specs)
+        assert {e.key for e in result_cache.scan_entries(directory)} == set(specs)
 
 
 class TestEvictionRegistry:
-    def test_inflight_registry_shields_entries(self, tmp_path):
-        _populate(tmp_path, {"aaaa": (100, 300), "bbbb": (100, 200)})
-        eviction.protect("aaaa")
-        try:
-            report = eviction.prune(max_entries=1, directory=tmp_path)
-            assert report.removed == ("bbbb",)
-            assert report.protected_kept == 1
-        finally:
-            eviction.unprotect("aaaa")
-        assert "aaaa" not in eviction.protected_keys()
-
-    def test_protect_nests(self):
-        eviction.protect("k")
-        eviction.protect("k")
-        eviction.unprotect("k")
-        assert "k" in eviction.protected_keys()
-        eviction.unprotect("k")
-        assert "k" not in eviction.protected_keys()
-
     def test_grace_window_shields_young_entries(self, tmp_path):
         _populate(tmp_path, {"old1": (100, 600)})
         young = tmp_path / "young1.pkl"
         young.write_bytes(b"y" * 100)  # mtime = now
-        report = eviction.prune(
+        report = result_cache.prune(
             max_entries=1, directory=tmp_path, min_age_seconds=60.0
         )
         assert report.removed == ("old1",)
@@ -152,86 +129,22 @@ class TestEvictionRegistry:
 
     def test_maybe_evict_is_noop_without_bounds(self, cache_dir):
         _populate(cache_dir, {"abcd": (100, 300)})
-        assert eviction.maybe_evict(directory=cache_dir) is None
+        assert result_cache.maybe_evict(directory=cache_dir) is None
         assert (cache_dir / "abcd.pkl").exists()
 
     def test_maybe_evict_honours_env_bound(self, cache_dir, monkeypatch):
         _populate(cache_dir, {"old2": (100, 600), "new2": (100, 100)})
         monkeypatch.setenv("REPRO_SIM_CACHE_MAX_ENTRIES", "1")
-        report = eviction.maybe_evict(directory=cache_dir, min_age_seconds=0.0)
+        report = result_cache.maybe_evict(directory=cache_dir, min_age_seconds=0.0)
         assert report is not None and report.removed == ("old2",)
 
     def test_resolve_bounds_ignore_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_CACHE_MAX_BYTES", "not-a-number")
         monkeypatch.setenv("REPRO_SIM_CACHE_MAX_ENTRIES", "-3")
-        assert eviction.resolve_max_bytes() is None
-        assert eviction.resolve_max_entries() is None
-        assert eviction.resolve_max_bytes(512) == 512
-        assert eviction.resolve_max_entries(0) is None
-
-
-# ----------------------------------------------------------------------
-# Snapshot round-trip
-# ----------------------------------------------------------------------
-
-
-class TestSnapshot:
-    @settings(max_examples=20, deadline=None)
-    @given(specs=entry_specs)
-    def test_round_trip_matches_rescan(self, tmp_path_factory, specs):
-        directory = tmp_path_factory.mktemp("snap")
-        _populate(directory, specs)
-        snapshot.write_snapshot(directory)
-        index = snapshot.read_snapshot(directory)
-        assert index is not None
-        scanned = {e.key: e for e in eviction.scan_entries(directory)}
-        assert set(index) == set(scanned)
-        for key, entry in index.items():
-            assert entry.size == scanned[key].size
-            assert entry.mtime == pytest.approx(scanned[key].mtime)
-            assert entry.path == scanned[key].path
-
-    def test_snapshot_is_not_a_cache_entry(self, tmp_path):
-        _populate(tmp_path, {"abcd": (10, 300)})
-        snapshot.write_snapshot(tmp_path)
-        assert {e.key for e in eviction.scan_entries(tmp_path)} == {"abcd"}
-
-    def test_version_mismatch_reads_as_no_snapshot(self, tmp_path):
-        _populate(tmp_path, {"abcd": (10, 300)})
-        path = snapshot.write_snapshot(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["cache_version"] = "ancient"
-        path.write_text(json.dumps(payload))
-        assert snapshot.read_snapshot(tmp_path) is None
-
-    @pytest.mark.parametrize(
-        "garbage",
-        [
-            "not json at all",
-            "[]",
-            '{"schema": 99}',
-            '{"schema": 1, "cache_version": null}',
-        ],
-    )
-    def test_garbage_snapshots_read_as_none(self, tmp_path, garbage):
-        snapshot.snapshot_path(tmp_path).parent.mkdir(parents=True, exist_ok=True)
-        snapshot.snapshot_path(tmp_path).write_text(garbage)
-        assert snapshot.read_snapshot(tmp_path) is None
-
-    def test_load_index_prefers_snapshot_then_rescans(self, tmp_path):
-        _populate(tmp_path, {"abcd": (10, 300)})
-        index, source = snapshot.load_index(tmp_path)
-        assert source == "rescan" and set(index) == {"abcd"}
-        # The rescan wrote a snapshot, so the next start is warm.
-        index, source = snapshot.load_index(tmp_path)
-        assert source == "snapshot" and set(index) == {"abcd"}
-
-    def test_clear_disk_cache_removes_snapshot(self, cache_dir):
-        _populate(cache_dir, {"abcd": (10, 300)})
-        snapshot.write_snapshot(cache_dir)
-        runner.clear_disk_cache()
-        assert not snapshot.snapshot_path(cache_dir).exists()
-        assert eviction.scan_entries(cache_dir) == []
+        assert result_cache.resolve_max_bytes() is None
+        assert result_cache.resolve_max_entries() is None
+        assert result_cache.resolve_max_bytes(512) == 512
+        assert result_cache.resolve_max_entries(0) is None
 
 
 # ----------------------------------------------------------------------
@@ -243,16 +156,14 @@ class TestCacheCli:
     def test_stats_reports_bounds_and_snapshot(self, cache_dir, monkeypatch, capsys):
         _populate(cache_dir, {"abcd": (128, 300)})
         monkeypatch.setenv("REPRO_SIM_CACHE_MAX_BYTES", "4096")
-        snapshot.write_snapshot(cache_dir)
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "disk entries   1" in out
         assert "disk bytes     128 (max 4096)" in out
-        assert "1 entries indexed" in out
-        stats = runner.cache_stats()
+        assert "snapshot" not in out
+        stats = result_cache.cache_stats()
         assert stats["max_bytes"] == 4096
         assert stats["max_entries"] is None
-        assert stats["snapshot_entries"] == 1
 
     def test_prune_without_bound_is_usage_error(self, cache_dir, capsys):
         assert main(["cache", "prune"]) == 2
@@ -262,16 +173,10 @@ class TestCacheCli:
         _populate(cache_dir, {"old3": (10, 600), "new3": (10, 100)})
         assert main(["cache", "prune", "--max-entries", "1"]) == 0
         assert "evicted 1 of 2" in capsys.readouterr().out
-        assert {e.key for e in eviction.scan_entries(cache_dir)} == {"new3"}
+        assert {e.key for e in result_cache.scan_entries(cache_dir)} == {"new3"}
 
     def test_prune_dry_run(self, cache_dir, capsys):
         _populate(cache_dir, {"old4": (10, 600), "new4": (10, 100)})
         assert main(["cache", "prune", "--max-entries", "1", "--dry-run"]) == 0
         assert "would evict" in capsys.readouterr().out
-        assert len(eviction.scan_entries(cache_dir)) == 2
-
-    def test_snapshot_command(self, cache_dir, capsys):
-        _populate(cache_dir, {"abcd": (10, 300)})
-        assert main(["cache", "snapshot"]) == 0
-        assert "1 entries indexed" in capsys.readouterr().out
-        assert snapshot.snapshot_path(cache_dir).exists()
+        assert len(result_cache.scan_entries(cache_dir)) == 2

@@ -81,11 +81,11 @@ class TestExperimentCommand:
 class TestCacheCommand:
     @pytest.fixture(autouse=True)
     def _isolated_cache(self, tmp_path, monkeypatch):
-        import repro.analysis.runner as runner
+        import repro.analysis.result_cache as result_cache
 
         monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         self.cache_dir = tmp_path
 
     def test_stats(self, capsys):

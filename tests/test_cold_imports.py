@@ -33,6 +33,10 @@ CLI_FORBIDDEN = (
 )
 
 
+#: Modules a cold ``repro cache stats|clear|prune`` must not load.
+CACHE_FORBIDDEN = (*CLI_FORBIDDEN, "repro.workloads")
+
+
 def _env(**extra: str) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -103,6 +107,21 @@ class TestCliImportSet:
         assert drivers == ["repro.experiments.fig10_ucp_vs_base"]
         assert _loaded(modules, ("repro.serve",)) == []
 
+    @pytest.mark.parametrize(
+        "argv", [("stats",), ("clear",), ("prune", "--max-entries", "1")], ids=" ".join
+    )
+    def test_cache_command_leaves_the_simulator_out(self, tmp_path, argv):
+        # These commands read no entry, so they need no SimResult.  With
+        # telemetry on they load its plane, whose package imports numpy.
+        for key in ("0" * 32, "1" * 32):
+            (tmp_path / f"{key}.pkl").write_bytes(b"entry")
+        code, modules = _run_repro(
+            "cache", *argv, REPRO_SIM_CACHE_DIR=str(tmp_path), REPRO_SIM_TELEMETRY="0"
+        )
+        assert code == 0
+        assert "repro.analysis.result_cache" in modules
+        assert _loaded(modules, CACHE_FORBIDDEN) == []
+
     def test_scipy_stays_out_of_cold_imports(self):
         # scipy backs only confidence_interval; the CLI, the experiment
         # drivers and the server must not pay for it at import.
@@ -117,13 +136,13 @@ class TestEngineImportSet:
     def test_store_path_imports_nothing_from_serve(self, tmp_path):
         probe = (
             "import sys\n"
-            "from repro.analysis import runner\n"
+            "from repro.analysis import result_cache, runner\n"
             "from repro.core.configs import SimConfig\n"
             "from repro.core.pipeline import simulate\n"
             "from repro.workloads.suite import load_workload\n"
             "result = simulate(load_workload('fp_01', 500).trace, SimConfig())\n"
-            "runner._store_disk('0' * 32, result)\n"
-            "assert runner.cache_stats()['disk_entries'] == 1\n"
+            "result_cache._store_disk('0' * 32, result)\n"
+            "assert result_cache.cache_stats()['disk_entries'] == 1\n"
             "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))\n"
         )
         done = subprocess.run(

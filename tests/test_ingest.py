@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.result_cache as result_cache
 import repro.analysis.runner as runner
 from repro.analysis.parallel import SimJob
 from repro.cli import main
@@ -175,7 +176,7 @@ class TestEndToEnd:
         entries = list(cache_dir.glob("*.pkl"))
         assert len(entries) == 1
         # The engine path hits the same key: no new entry, same object.
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         again = runner.run_cached("golden-dc", SimConfig(), 300)
         assert list(cache_dir.glob("*.pkl")) == entries
         assert again.ipc == result.ipc

@@ -388,7 +388,7 @@ class TestSim006SetIteration:
         assert report.clean
 
 
-SIM007_RUNNER = """
+SIM007_CACHE = """
 CACHE_VERSION = 7
 """
 
@@ -416,9 +416,9 @@ class StatBlock:
 
 
 class TestSim007CacheSchema:
-    def write_tree(self, tmp_path, runner=SIM007_RUNNER, pipeline=SIM007_PIPELINE):
+    def write_tree(self, tmp_path, cache=SIM007_CACHE, pipeline=SIM007_PIPELINE):
         for relpath, code in (
-            ("src/repro/analysis/runner.py", runner),
+            ("src/repro/analysis/result_cache.py", cache),
             ("src/repro/core/pipeline.py", pipeline),
             ("src/repro/common/stats.py", SIM007_STATS),
         ):
@@ -457,7 +457,7 @@ class TestSim007CacheSchema:
         src = self.write_tree(tmp_path)
         engine = LintEngine(schema_path=tmp_path / "schema.json")
         engine.write_schema_snapshot([src])
-        self.write_tree(tmp_path, runner="CACHE_VERSION = 8\n")
+        self.write_tree(tmp_path, cache="CACHE_VERSION = 8\n")
         report = engine.lint_paths([src])
         assert rules_fired(report) == {"SIM007"}
         assert "stale" in report.findings[0].message
@@ -469,7 +469,7 @@ class TestSim007CacheSchema:
         grown = SIM007_PIPELINE.replace(
             '"name": self.name}', '"name": self.name, "power_w": 0}'
         )
-        self.write_tree(tmp_path, runner="CACHE_VERSION = 8\n", pipeline=grown)
+        self.write_tree(tmp_path, cache="CACHE_VERSION = 8\n", pipeline=grown)
         engine.write_schema_snapshot([src])
         assert engine.lint_paths([src]).clean
 
@@ -677,7 +677,7 @@ class TestSelfCheck:
         # Every suppression is a SIM002 wall-clock read: run telemetry in
         # parallel.py (2), queue timing in scheduler.py (2), the job body's
         # timing in analysis/runner.py (2), the eviction grace-window clock
-        # in analysis/eviction.py (1), and the span/flight-recorder timestamps
+        # in analysis/result_cache.py (1), and the span/flight-recorder timestamps
         # in observe/telemetry (4).
         assert report.suppressed == 11
         # No suppression comment outlives its rule (the linter's own

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import repro.analysis.result_cache as result_cache
 import repro.analysis.runner as runner
 from repro.analysis.parallel import (
     ParallelExecutionError,
@@ -51,23 +52,23 @@ def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
     monkeypatch.delenv("REPRO_SIM_JOBS", raising=False)
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
     yield tmp_path
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
 
 
 def _serial_reference(tmp_path, monkeypatch):
     """Serial run_cached results computed against an isolated cache."""
     serial_dir = tmp_path / "serial"
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(serial_dir))
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
     reference = {
         name: _result_fields(
             runner.run_cached(name, SimConfig(), N_INSTRUCTIONS)
         )
         for name in SUITE
     }
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
     return reference
 
 
@@ -115,7 +116,7 @@ class TestScheduling:
     def test_cache_hits_not_resimulated(self, fresh_cache):
         job = SimJob("fp_01", SimConfig(), N_INSTRUCTIONS)
         ParallelRunner(jobs=1).run([job])
-        runner._memory_cache.clear()  # force the disk path
+        result_cache._memory_cache.clear()  # force the disk path
         engine = ParallelRunner(jobs=1)
         engine.run([job])
         assert engine.stats.counters["jobs_from_disk"] == 1
@@ -164,20 +165,20 @@ class TestScheduling:
                 runner, "job_entry", lambda *args: (canned, 0.0, None, [])
             )
         calls = []
-        real = runner.cache_key
+        real = result_cache.cache_key
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(runner, "cache_key", counting)
+        monkeypatch.setattr(result_cache, "cache_key", counting)
         results = ParallelRunner(jobs=1).run(jobs + jobs)
         assert set(results) == {job.key for job in jobs}
         assert len(calls) <= len(jobs), calls
         if case == "real-body":
             # Every job simulated, and the body reused the engine's key.
             assert len(calls) == len(jobs)
-            assert runner.verify_disk_cache() == {"ok": len(jobs), "corrupt": []}
+            assert result_cache.verify_disk_cache() == {"ok": len(jobs), "corrupt": []}
 
     def test_engine_stats_render(self, fresh_cache):
         engine = ParallelRunner(jobs=1)
@@ -201,7 +202,7 @@ class TestFailurePaths:
         assert engine.stats.counters["jobs_failed"] == 1
         # The good jobs landed in the cache, and every entry is valid.
         assert engine.stats.counters["jobs_simulated"] == 2
-        report = runner.verify_disk_cache()
+        report = result_cache.verify_disk_cache()
         assert report["corrupt"] == []
         assert report["ok"] == 2
 
@@ -209,7 +210,7 @@ class TestFailurePaths:
         engine = ParallelRunner(jobs=1)
         with pytest.raises(ParallelExecutionError):
             engine.run([SimJob("no_such_workload", SimConfig(), 1_000)])
-        assert runner.verify_disk_cache() == {"ok": 0, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 0, "corrupt": []}
 
     def test_results_usable_after_partial_failure(self, fresh_cache):
         engine = ParallelRunner(jobs=2)
@@ -240,7 +241,7 @@ class TestSpeedup:
 
         def timed(workers: int, cache_dir) -> float:
             monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(cache_dir))
-            runner._memory_cache.clear()
+            result_cache._memory_cache.clear()
             start = time.perf_counter()
             ParallelRunner(jobs=workers).run(jobs)
             return time.perf_counter() - start
@@ -301,7 +302,7 @@ class TestJobTimeout:
         retry.run([good])
         assert retry.stats.counters["jobs_simulated"] == 0
         # The wedged key never produced a (possibly truncated) entry.
-        report = runner.verify_disk_cache()
+        report = result_cache.verify_disk_cache()
         assert report["corrupt"] == []
 
     def test_serial_path_ignores_timeout(self, fresh_cache):
@@ -329,12 +330,12 @@ class TestCacheCounters:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cold_batch_counts_one_miss_per_job(self, fresh_cache, telemetry_on, jobs):
         runner.run_suite(["fp_01", "int_02"], SimConfig(), N_INSTRUCTIONS, jobs=jobs)
-        stats = runner.lifetime_cache_stats()
+        stats = result_cache.lifetime_cache_stats()
         assert stats["hits_disk"] == 0
         assert stats["misses"] == 2
         # Pool workers store (and count) in their own processes.
         assert stats["stores"] == (2 if jobs == 1 else 0)
-        assert runner.verify_disk_cache() == {"ok": 2, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 2, "corrupt": []}
 
 
 @pytest.fixture()
@@ -541,7 +542,7 @@ class TestPoolScope:
         rendered = []
         for jobs in (1, 2):
             monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(fresh_cache / f"jobs{jobs}"))
-            runner._memory_cache.clear()
+            result_cache._memory_cache.clear()
             rendered.append(run_experiment("fig10", scale, jobs=jobs)[1])
         assert rendered[0] == rendered[1]
 
@@ -588,7 +589,7 @@ class TestWorkerCrash:
             assert engine.stats.counters["jobs_simulated"] == len(batch) - 1
             stored = {path.stem for path in fresh_cache.glob("*.pkl")}
             assert stored == {job.key for job in batch if job is not victim}
-            assert runner.verify_disk_cache() == {"ok": len(batch) - 1, "corrupt": []}
+            assert result_cache.verify_disk_cache() == {"ok": len(batch) - 1, "corrupt": []}
 
             # The next batch in the scope refuses the key without a worker.
             later = SimJob("int_01", SimConfig(), N_INSTRUCTIONS)
@@ -599,7 +600,7 @@ class TestWorkerCrash:
             [(job, error)] = excinfo.value.failures
             assert job.key == victim.key and error.code == "quarantined"
             assert _crash_attempts(fresh_cache) == 2
-            assert runner.verify_disk_cache()["ok"] == len(batch)
+            assert result_cache.verify_disk_cache()["ok"] == len(batch)
 
 
 class TestOneQueue:

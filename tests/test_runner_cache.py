@@ -9,8 +9,10 @@ misbehaving writer could and assert ``run_cached`` recovers.
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 
+import repro.analysis.result_cache as result_cache
 import repro.analysis.runner as runner
 from repro.core import SimConfig
 
@@ -33,20 +35,20 @@ class TestCorruptionRecovery:
         good = _simulate_once()
         path = _entry_file(cache_dir)
         path.write_bytes(b"not a pickle at all")
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         again = _simulate_once()
         assert again.ipc == good.ipc
         # The bad file was replaced by a valid entry.
-        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 1, "corrupt": []}
 
     def test_truncated_file_resimulated(self, cache_dir):
         good = _simulate_once()
         path = _entry_file(cache_dir)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         assert _simulate_once().ipc == good.ipc
-        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 1, "corrupt": []}
 
     def test_checksum_mismatch_rejected(self, cache_dir):
         """A loadable pickle whose payload doesn't match its digest is
@@ -56,16 +58,16 @@ class TestCorruptionRecovery:
         version, key, digest, payload = pickle.loads(path.read_bytes())
         tampered = payload[:-1] + bytes([payload[-1] ^ 0xFF])
         path.write_bytes(pickle.dumps((version, key, digest, tampered)))
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         assert _simulate_once().ipc == good.ipc
-        assert runner.verify_disk_cache()["corrupt"] == []
+        assert result_cache.verify_disk_cache()["corrupt"] == []
 
     def test_stale_version_rejected(self, cache_dir):
         _simulate_once()
         path = _entry_file(cache_dir)
         version, key, digest, payload = pickle.loads(path.read_bytes())
         path.write_bytes(pickle.dumps((version - 1, key, digest, payload)))
-        assert runner._load_disk(path.stem) is None
+        assert result_cache._load_disk(path.stem) is None
         assert not path.exists()  # quarantined on load
 
     def test_wrong_key_rejected(self, cache_dir):
@@ -74,7 +76,7 @@ class TestCorruptionRecovery:
         path = _entry_file(cache_dir)
         other = path.with_name("0" * 32 + ".pkl")
         path.rename(other)
-        assert runner._load_disk(other.stem) is None
+        assert result_cache._load_disk(other.stem) is None
 
     def test_legacy_plain_pickle_rejected(self, cache_dir):
         """Pre-engine caches stored bare SimResult pickles; they must not
@@ -82,7 +84,7 @@ class TestCorruptionRecovery:
         good = _simulate_once()
         path = _entry_file(cache_dir)
         path.write_bytes(pickle.dumps(good))
-        assert runner._load_disk(path.stem) is None
+        assert result_cache._load_disk(path.stem) is None
 
 
 class TestAtomicity:
@@ -93,7 +95,7 @@ class TestAtomicity:
         def exploding_replace(src, dst):
             raise OSError("killed mid-write")
 
-        monkeypatch.setattr(runner.os, "replace", exploding_replace)
+        monkeypatch.setattr(result_cache.os, "replace", exploding_replace)
         _simulate_once()
         assert list(cache_dir.glob("*.pkl")) == []
         assert list(cache_dir.glob(".*.tmp")) == []  # temp cleaned up
@@ -105,19 +107,19 @@ class TestAtomicity:
         path = _entry_file(cache_dir)
         original = path.read_bytes()
         monkeypatch.setattr(
-            runner.os, "replace", lambda s, d: (_ for _ in ()).throw(OSError())
+            result_cache.os, "replace", lambda s, d: (_ for _ in ()).throw(OSError())
         )
-        runner._memory_cache.clear()
-        runner._store_disk(path.stem, good)
+        result_cache._memory_cache.clear()
+        result_cache._store_disk(path.stem, good)
         assert path.read_bytes() == original
 
     def test_stray_temp_files_ignored_and_cleared(self, cache_dir):
         _simulate_once()
         (cache_dir / ".deadbeef.12345.tmp").write_bytes(b"partial")
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         assert _simulate_once() is not None
-        assert runner.cache_stats()["temp_files"] == 1
-        assert runner.clear_disk_cache() == 1  # counts entries, wipes temps
+        assert result_cache.cache_stats()["temp_files"] == 1
+        assert result_cache.clear_disk_cache() == 1  # counts entries, wipes temps
         assert list(cache_dir.iterdir()) == []
 
 
@@ -126,57 +128,51 @@ class TestBypassAndAccounting:
         monkeypatch.setenv("REPRO_SIM_CACHE", "0")
         _simulate_once()
         assert list(cache_dir.glob("*.pkl")) == []
-        assert runner.cache_stats()["disk_enabled"] is False
+        assert result_cache.cache_stats()["disk_enabled"] is False
 
     def test_cache_dir_env_read_at_call_time(self, tmp_path, monkeypatch):
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         first = tmp_path / "first"
         second = tmp_path / "second"
         monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(first))
         _simulate_once()
         assert list(first.glob("*.pkl"))
         monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(second))
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
         runner.run_cached("fp_01", SimConfig(), 2_500)
         assert list(second.glob("*.pkl"))
-        runner._memory_cache.clear()
+        result_cache._memory_cache.clear()
 
     def test_clear_disk_cache_reports_accurate_counts(self, cache_dir):
-        assert runner.clear_disk_cache() == 0
+        assert result_cache.clear_disk_cache() == 0
         runner.run_cached("fp_01", SimConfig(), 2_000)
         runner.run_cached("fp_02", SimConfig(), 2_000)
         runner.run_cached("fp_01", SimConfig().without_uop_cache(), 2_000)
-        assert runner.cache_stats()["disk_entries"] == 3
-        assert runner.clear_disk_cache() == 3
-        assert runner.clear_disk_cache() == 0
+        assert result_cache.cache_stats()["disk_entries"] == 3
+        assert result_cache.clear_disk_cache() == 3
+        assert result_cache.clear_disk_cache() == 0
 
     def test_clear_memory_cache_counts(self, cache_dir):
         _simulate_once()
-        assert runner.clear_memory_cache() == 1
-        assert runner.clear_memory_cache() == 0
+        assert result_cache.clear_memory_cache() == 1
+        assert result_cache.clear_memory_cache() == 0
 
     def test_verify_fix_deletes_corrupt_entries(self, cache_dir):
         _simulate_once()
         bad = cache_dir / ("1" * 32 + ".pkl")
         bad.write_bytes(b"junk")
-        report = runner.verify_disk_cache(fix=False)
+        report = result_cache.verify_disk_cache(fix=False)
         assert report["ok"] == 1 and report["corrupt"] == [bad.name]
         assert bad.exists()
-        report = runner.verify_disk_cache(fix=True)
+        report = result_cache.verify_disk_cache(fix=True)
         assert not bad.exists()
-        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 1, "corrupt": []}
 
 
 class TestSingleFlight:
-    def test_concurrent_requests_simulate_once(self, cache_dir, monkeypatch):
-        calls = []
-        real_simulate = runner.simulate
-
-        def counting_simulate(trace, config, name=None):
-            calls.append(name)
-            return real_simulate(trace, config, name=name)
-
-        monkeypatch.setattr(runner, "simulate", counting_simulate)
+    def test_concurrent_requests_simulate_once(self, cache_dir):
+        """Threads that miss one key at once may each run the job body,
+        but every caller gets the one result object published in memory."""
         results = []
         threads = [
             threading.Thread(
@@ -184,13 +180,20 @@ class TestSingleFlight:
             )
             for _ in range(4)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the publish races often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 4
         assert all(r is results[0] for r in results)
+        key = result_cache.cache_key("fp_01", 3_000, SimConfig())
+        assert result_cache._memory_cache[key] is results[0]
 
     def test_caller_between_store_and_publish_gets_the_same_object(
         self, cache_dir, monkeypatch
@@ -198,7 +201,7 @@ class TestSingleFlight:
         """A caller that probes after the owner's disk store but before it
         publishes in memory promotes the stored entry; the owner must then
         return that one object instead of overwriting it with its own."""
-        real_store = runner._store_disk
+        real_store = result_cache._store_disk
         inside: list = []
 
         def store_then_race(key, result, directory=None):
@@ -207,8 +210,8 @@ class TestSingleFlight:
             racer.start()
             racer.join()
 
-        monkeypatch.setattr(runner, "_store_disk", store_then_race)
+        monkeypatch.setattr(result_cache, "_store_disk", store_then_race)
         owner = _simulate_once(3_000)
         assert len(inside) == 1
         assert inside[0] is owner
-        assert runner._memory_cache[runner.cache_key("fp_01", 3_000, SimConfig())] is owner
+        assert result_cache._memory_cache[result_cache.cache_key("fp_01", 3_000, SimConfig())] is owner

@@ -22,6 +22,7 @@ from collections import Counter
 
 import pytest
 
+import repro.analysis.result_cache as result_cache
 import repro.analysis.runner as runner
 import repro.serve.server as server_module
 from repro.core import SimConfig
@@ -113,9 +114,9 @@ async def _until_running(client: ServeClient) -> None:
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
     yield tmp_path
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
 
 
 @pytest.fixture()
@@ -126,7 +127,7 @@ def run_counter(monkeypatch):
 
     def counting(workload, config, n_instructions, *args):
         with lock:
-            calls[runner.cache_key(workload, n_instructions, config)] += 1
+            calls[result_cache.cache_key(workload, n_instructions, config)] += 1
         return runner.run_job(workload, config, n_instructions, *args)
 
     monkeypatch.setattr(runner, "job_entry", counting)
@@ -159,7 +160,7 @@ class TestProtocol:
         from repro.core.configs import config_from_spec
 
         config = config_from_spec({"ucp": True, "stop_threshold": 300})
-        assert jobs[0].key == runner.cache_key("fp_01", 5_000, config)
+        assert jobs[0].key == result_cache.cache_key("fp_01", 5_000, config)
 
     def test_same_spec_resolves_to_one_config(self):
         """A spec resolves to one shared config object, so re-asks key
@@ -169,7 +170,7 @@ class TestProtocol:
         spec = {"ucp": True, "uop_kops": 16}
         first, second = config_from_spec(spec), config_from_spec(dict(spec))
         assert first is second
-        assert runner.cache_key("fp_01", 1_000, first) == runner.cache_key(
+        assert result_cache.cache_key("fp_01", 1_000, first) == result_cache.cache_key(
             "fp_01", 1_000, second
         )
         config_from_spec({"mrc": 1})  # an int spec must not answer for a bool
@@ -252,7 +253,7 @@ class TestExactlyOnce:
         assert all(reply.ok and len(reply.results) == 2 for reply in replies)
         # Exactly one execution per unique key, despite 64 requested jobs.
         expected_keys = {
-            runner.cache_key(name, N_INSTRUCTIONS, SimConfig())
+            result_cache.cache_key(name, N_INSTRUCTIONS, SimConfig())
             for name in WORKLOADS
         }
         assert set(run_counter) == expected_keys
@@ -288,17 +289,17 @@ class TestExactlyOnce:
 
     def test_served_hit_keys_each_job_once(self, fresh_cache, monkeypatch):
         """A served hit computes each job's cache key once, at expansion:
-        quarantine, single-flight, the probe, eviction protection and the
-        reply all read that one value."""
+        quarantine, single-flight, the probe and the reply all read that
+        one value."""
         names = [*WORKLOADS, "crypto_01"]
         calls = []
-        real = runner.cache_key
+        real = result_cache.cache_key
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(runner, "cache_key", counting)
+        monkeypatch.setattr(result_cache, "cache_key", counting)
 
         async def body(server):
             async with ServeClient(port=server.port) as client:
@@ -316,7 +317,7 @@ class TestExactlyOnce:
         async def body(server):
             async with ServeClient(port=server.port) as client:
                 await client.run(["fp_01"], n_instructions=N_INSTRUCTIONS)
-                runner._memory_cache.clear()  # simulate a server restart
+                result_cache._memory_cache.clear()  # simulate a server restart
                 reply = await client.run(["fp_01"], n_instructions=N_INSTRUCTIONS)
             return reply
 
@@ -401,7 +402,7 @@ class TestCancellation:
 
         assert run_async(_with_server(body, shards=1))
         # The cancelled job never reached a worker.
-        cancelled_key = runner.cache_key("int_01", N_INSTRUCTIONS, SimConfig())
+        cancelled_key = result_cache.cache_key("int_01", N_INSTRUCTIONS, SimConfig())
         assert cancelled_key not in run_counter
 
     def test_abandoned_job_stores_where_it_was_submitted(
@@ -640,8 +641,8 @@ class TestObserveOnDemand:
         async def body(server):
             async with ServeClient(port=server.port) as client:
                 plain = await client.run(["int_01"], n_instructions=N_INSTRUCTIONS)
-                runner.clear_memory_cache()
-                runner.clear_disk_cache()
+                result_cache.clear_memory_cache()
+                result_cache.clear_disk_cache()
                 streamed = await client.run(
                     ["int_01"], n_instructions=N_INSTRUCTIONS, stream=True
                 )
@@ -887,7 +888,7 @@ class TestControlPlane:
         pong, status = run_async(_with_server(body))
         assert pong["type"] == "pong" and pong["protocol"] == 2
         assert status["scheduler"]["mode"] == "thread"
-        assert status["cache"]["cache_version"] == runner.CACHE_VERSION
+        assert status["cache"]["cache_version"] == result_cache.CACHE_VERSION
 
 
 class TestLoopStalls:
@@ -920,7 +921,7 @@ class TestLoopStalls:
                     other.run(names, n_instructions=N_INSTRUCTIONS),
                 )
                 hit = await client.run(names, n_instructions=N_INSTRUCTIONS)
-                runner._memory_cache.clear()
+                result_cache._memory_cache.clear()
                 disk = await client.run(names, n_instructions=N_INSTRUCTIONS)
                 victim = asyncio.create_task(
                     client.run(
@@ -992,7 +993,7 @@ class TestOneJobBody:
 
         def on_fresh_cache(name):
             monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(fresh_cache / name))
-            runner._memory_cache.clear()
+            result_cache._memory_cache.clear()
 
         async def serve():
             scheduler = Scheduler(1, mode="process")
@@ -1004,13 +1005,13 @@ class TestOneJobBody:
 
         on_fresh_cache("run_cached")
         cached = runner.run_cached(job.workload, job.config, job.n_instructions)
-        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 1, "corrupt": []}
         on_fresh_cache("engine")
         engine = ParallelRunner(jobs=2).run([job])[job.key]
-        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 1, "corrupt": []}
         on_fresh_cache("served")
         served = run_async(serve())
-        assert runner.verify_disk_cache() == {"ok": 1, "corrupt": []}
+        assert result_cache.verify_disk_cache() == {"ok": 1, "corrupt": []}
 
         assert cached.to_dict() == engine.to_dict() == served.result.to_dict()
         assert served.source == "simulated" and served.taxonomy is not None

@@ -29,6 +29,7 @@ from concurrent.futures import BrokenExecutor
 
 import pytest
 
+import repro.analysis.result_cache as result_cache
 import repro.analysis.runner as runner
 from repro.cli import main
 from repro.core import SimConfig
@@ -78,9 +79,9 @@ def telemetry_off(monkeypatch):
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
     yield tmp_path
-    runner._memory_cache.clear()
+    result_cache._memory_cache.clear()
 
 
 async def _with_server(body, **server_kwargs):
@@ -471,7 +472,7 @@ class TestBitIdentity:
                     mp.setenv("REPRO_SIM_TELEMETRY", override)
                 mp.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path / str(override)))
                 telemetry.reset()
-                runner._memory_cache.clear()
+                result_cache._memory_cache.clear()
                 try:
                     results = run(workloads)
                     names = [span.name for span in telemetry.spans().spans()]
@@ -481,7 +482,7 @@ class TestBitIdentity:
                     )
                 finally:
                     telemetry.reset()
-                    runner._memory_cache.clear()
+                    result_cache._memory_cache.clear()
         assert runs[None][0] == runs["1"][0]
         assert runs[None][1] == []
         assert runs["1"][1] == (
@@ -569,7 +570,7 @@ class TestCrashDump:
 
         run_async(_with_server(scenario, shards=1))
 
-        key = runner.cache_key("int_01", N_INSTRUCTIONS, SimConfig())
+        key = result_cache.cache_key("int_01", N_INSTRUCTIONS, SimConfig())
         dumps = telemetry.recorder().dumps
         assert dumps and dumps[-1].parent == out
         payload = json.loads(dumps[-1].read_text())
@@ -630,7 +631,7 @@ class TestStreamedTelemetryBitIdentity:
         spec = load_workload("fp_01", N_INSTRUCTIONS)
         sim = Simulator(spec.trace, SimConfig(), name="fp_01", observe=True)
         result = sim.run()
-        key = runner.cache_key("fp_01", N_INSTRUCTIONS, SimConfig())
+        key = result_cache.cache_key("fp_01", N_INSTRUCTIONS, SimConfig())
         assert sim.observer is not None
         expected_intervals = stream.interval_events(
             key, "fp_01", result.intervals
